@@ -311,10 +311,6 @@ class GatedUnit(Module):
         return T.concat_channels([g.forward(p) for g, p in zip(self.gates, parts)])
 
 
-def gpgu_forward(x, unit):
-    return unit.forward(x)
-
-
 # ---------------------------------------------------------------------------
 # feed-forward and the full residual block
 # ---------------------------------------------------------------------------
@@ -334,10 +330,6 @@ class FeedForward(Module):
 
     def forward(self, x):
         return self.fuse.forward(self.gpgu.forward(self.expand.forward(x)))
-
-
-def gpfn_forward(x, ffn):
-    return ffn.forward(x)
 
 
 class GpfcaBlock(Module):
@@ -374,10 +366,6 @@ class GpfcaBlock(Module):
         h = self.norm2.forward(x)
         h = self.ffn.forward(h)
         return T.add(x, T.scale_channels(h, self.scale2))
-
-
-def gpfca_forward(x, block):
-    return block.forward(x)
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +431,6 @@ class DenseBlock(Module):
                 if key in entry:
                     total += entry[key].weight.size
         return total
-
-
-def ddb_forward(x, block):
-    if block.spec.variant != "DDB":
-        raise ValueError("block is not a DDB")
-    return block.forward(x)
-
-
-def dsddb_forward(x, block):
-    if block.spec.variant != "DSDDB":
-        raise ValueError("block is not a DSDDB")
-    return block.forward(x)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +578,6 @@ class EnhancementModel(Module):
         mask = self.mask_decoder.forward(h, phase.shape[1])
         phase_hat = self.phase_decoder.forward(h, phase)
         return mask, phase_hat
-
-
-def model_forward(compressed, model):
-    return model.forward(compressed)
 
 
 def enhance(noisy_wave, model, cfg):

@@ -162,18 +162,11 @@ def dense_block_entry(name, block, t, f):
     return ReportEntry(
         name=name,
         analytic_macs=analytic_fn(spec.depth, spec.channels, spec.kernel, t, f),
-        measured_macs=_dense_conv_macs(block, t, f),
+        measured_macs=measure_block_macs(block, t, f),
         analytic_params=params_fn(spec.depth, spec.channels, spec.kernel),
         measured_params=block.conv_weight_count(),
         full_params=block.param_count(),
     )
-
-
-def _dense_conv_macs(block, t, f):
-    x = Tensor(np.zeros((1, block.spec.channels, t, f)))
-    with no_grad(), count_macs() as rec:
-        block.forward(x)
-    return rec.macs
 
 
 def measure(model, cfg, frames, bins):

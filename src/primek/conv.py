@@ -1,12 +1,15 @@
 """Grouped, dilated 1-D and 2-D convolutions on the autodiff tensor.
 
-Forward values follow the plain nested-loop definition of convolution
+Both ranks run one tap loop over the trailing spatial axes. Forward
+values follow the plain nested-loop definition of convolution
 (cross-correlation convention, zero "same" padding for odd kernels);
 the test suite holds them to an independently coded naive oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +65,11 @@ def _as_tuple(v):
     return v if isinstance(v, tuple) else (v,)
 
 
-def _pair(v):
-    return v if isinstance(v, tuple) else (v, v)
+def _per_axis(v, n):
+    v = v if isinstance(v, tuple) else (v,) * n
+    if len(v) != n:
+        raise ShapeError(f"{v} does not give one value per spatial axis ({n})")
+    return v
 
 
 def _out_extent(n, k, s, d, padding):
@@ -75,187 +81,122 @@ def _out_extent(n, k, s, d, padding):
     return (n - span) // s + 1
 
 
-def _check_bias(bias, c_out):
-    if bias is not None and bias.shape != (c_out,):
-        raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
-
-
-# ---------------------------------------------------------------------------
-# conv1d
-# ---------------------------------------------------------------------------
-
 def conv1d(x, spec, weight, bias=None):
     """x: [B, C_in, T], weight: [C_out, C_in/groups, K] -> [B, C_out, T']."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv1d expects [B, C, T], got {x.shape}")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(
-            f"channel axis mismatch: input has {x.shape[1]}, spec expects "
-            f"{spec.in_channels}"
-        )
-    k = spec.kernel
-    cin_g = spec.in_channels // spec.groups
-    if weight.shape != (spec.out_channels, cin_g, k):
-        raise ShapeError(
-            f"weight shape {weight.shape} != ({spec.out_channels}, {cin_g}, {k})"
-        )
-    _check_bias(bias, spec.out_channels)
+    return _conv(x, spec, weight, bias, "T")
 
-    b, _, t = x.shape
-    s, d, g = spec.stride, spec.dilation, spec.groups
-    pad = d * (k - 1) // 2 if spec.padding == "same" else 0
-    t_out = _out_extent(t, k, s, d, spec.padding)
-    cout_g = spec.out_channels // g
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
-    out = np.zeros((b, spec.out_channels, t_out), dtype=x.dtype)
-    depthwise = spec.is_depthwise
-    tap = lambda arr, kk: arr[:, :, kk * d: kk * d + s * (t_out - 1) + 1: s]
-
-    for kk in range(k):
-        seg = tap(xp, kk)
-        if depthwise:
-            out += weight.data[:, 0, kk].reshape(1, -1, 1) * seg
-        else:
-            for gi in range(g):
-                ics = slice(gi * cin_g, (gi + 1) * cin_g)
-                ocs = slice(gi * cout_g, (gi + 1) * cout_g)
-                out[:, ocs] += np.matmul(weight.data[ocs, :, kk], seg[:, ics])
-    if bias is not None:
-        out += bias.data.reshape(1, -1, 1)
-    record_macs(b * spec.out_channels * cin_g * k * t_out)
-
-    def backward(gout):
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for kk in range(k):
-                dst = tap(gxp, kk)
-                if depthwise:
-                    dst += weight.data[:, 0, kk].reshape(1, -1, 1) * gout
-                else:
-                    for gi in range(g):
-                        ics = slice(gi * cin_g, (gi + 1) * cin_g)
-                        ocs = slice(gi * cout_g, (gi + 1) * cout_g)
-                        dst[:, ics] += np.matmul(
-                            weight.data[ocs, :, kk].T, gout[:, ocs]
-                        )
-            _accumulate(x, gxp[:, :, pad: pad + t] if pad else gxp)
-        if weight.requires_grad:
-            gw = np.zeros(weight.shape, dtype=weight.dtype)
-            for kk in range(k):
-                seg = tap(xp, kk)
-                if depthwise:
-                    gw[:, 0, kk] = (gout * seg).sum(axis=(0, 2))
-                else:
-                    for gi in range(g):
-                        ics = slice(gi * cin_g, (gi + 1) * cin_g)
-                        ocs = slice(gi * cout_g, (gi + 1) * cout_g)
-                        gw[ocs, :, kk] = np.matmul(
-                            gout[:, ocs], seg[:, ics].transpose(0, 2, 1)
-                        ).sum(axis=0)
-            _accumulate(weight, gw)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, gout.sum(axis=(0, 2)))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _from_op(out, parents, backward)
-
-
-# ---------------------------------------------------------------------------
-# conv2d
-# ---------------------------------------------------------------------------
 
 def conv2d(x, spec, weight, bias=None):
     """x: [B, C_in, T, F], weight: [C_out, C_in/groups, Kt, Kf]."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv2d expects [B, C, T, F], got {x.shape}")
+    return _conv(x, spec, weight, bias, "TF")
+
+
+def _conv(x, spec, weight, bias, axes):
+    """Convolution over the trailing spatial axes named by `axes`.
+
+    Kept private and called only from conv1d/conv2d: profilers wrap those
+    public entry points, so each call must pass through exactly one.
+    """
+    n = len(axes)
+    if x.data.ndim != n + 2:
+        raise ShapeError(f"conv{n}d expects [B, C, {', '.join(axes)}], got {x.shape}")
     if x.shape[1] != spec.in_channels:
         raise ShapeError(
             f"channel axis mismatch: input has {x.shape[1]}, spec expects "
             f"{spec.in_channels}"
         )
-    kt, kf = _pair(spec.kernel)
-    st, sf = _pair(spec.stride)
-    dt, df = _pair(spec.dilation)
+    ks = _per_axis(spec.kernel, n)
+    strides = _per_axis(spec.stride, n)
+    dils = _per_axis(spec.dilation, n)
     g = spec.groups
     cin_g = spec.in_channels // g
     cout_g = spec.out_channels // g
-    if weight.shape != (spec.out_channels, cin_g, kt, kf):
+    wshape = (spec.out_channels, cin_g) + ks
+    if weight.shape != wshape:
         raise ShapeError(
-            f"weight shape {weight.shape} != ({spec.out_channels}, {cin_g}, {kt}, {kf})"
+            f"weight shape {weight.shape} != ({', '.join(map(str, wshape))})"
         )
-    _check_bias(bias, spec.out_channels)
+    if bias is not None and bias.shape != (spec.out_channels,):
+        raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
 
-    b, _, t, f = x.shape
-    pt = dt * (kt - 1) // 2 if spec.padding == "same" else 0
-    pf = df * (kf - 1) // 2 if spec.padding == "same" else 0
-    t_out = _out_extent(t, kt, st, dt, spec.padding)
-    f_out = _out_extent(f, kf, sf, df, spec.padding)
+    b, sizes = x.shape[0], x.shape[2:]
+    pads = tuple(
+        d * (k - 1) // 2 if spec.padding == "same" else 0 for k, d in zip(ks, dils)
+    )
+    out_sizes = tuple(
+        _out_extent(m, k, s, d, spec.padding)
+        for m, k, s, d in zip(sizes, ks, strides, dils)
+    )
+    flat = math.prod(out_sizes)
+    lead = (slice(None), slice(None))
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (pf, pf))) if (pt or pf) else x.data
-    out = np.zeros((b, spec.out_channels, t_out, f_out), dtype=x.dtype)
+    padded = any(pads)
+    xp = x.data
+    if padded:
+        xp = np.pad(xp, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+    out = np.zeros((b, spec.out_channels) + out_sizes, dtype=x.dtype)
     depthwise = spec.is_depthwise
-    tap = lambda arr, i, j: arr[
-        :, :,
-        i * dt: i * dt + st * (t_out - 1) + 1: st,
-        j * df: j * df + sf * (f_out - 1) + 1: sf,
+    bcast = (1, -1) + (1,) * n  # one weight per channel against [B, C, ...]
+    sum_axes = (0,) + tuple(range(2, n + 2))
+    groups = [
+        (slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
+        for gi in range(g)
+    ]
+    # every kernel tap with the strided window of the padded input it reads
+    taps = [
+        (tap, lead + tuple(
+            slice(i * d, i * d + s * (o - 1) + 1, s)
+            for i, d, s, o in zip(tap, dils, strides, out_sizes)
+        ))
+        for tap in itertools.product(*map(range, ks))
     ]
 
-    for i in range(kt):
-        for j in range(kf):
-            seg = tap(xp, i, j)
-            if depthwise:
-                out += weight.data[:, 0, i, j].reshape(1, -1, 1, 1) * seg
-            else:
-                for gi in range(g):
-                    ics = slice(gi * cin_g, (gi + 1) * cin_g)
-                    ocs = slice(gi * cout_g, (gi + 1) * cout_g)
-                    sflat = seg[:, ics].reshape(b, cin_g, t_out * f_out)
-                    out[:, ocs] += np.matmul(
-                        weight.data[ocs, :, i, j], sflat
-                    ).reshape(b, cout_g, t_out, f_out)
+    for tap, win in taps:
+        seg = xp[win]
+        if depthwise:
+            out += weight.data[(slice(None), 0) + tap].reshape(bcast) * seg
+        else:
+            for ics, ocs in groups:
+                sflat = seg[:, ics].reshape(b, cin_g, flat)
+                out[:, ocs] += np.matmul(
+                    weight.data[(ocs, slice(None)) + tap], sflat
+                ).reshape((b, cout_g) + out_sizes)
     if bias is not None:
-        out += bias.data.reshape(1, -1, 1, 1)
-    record_macs(b * spec.out_channels * cin_g * kt * kf * t_out * f_out)
+        out += bias.data.reshape(bcast)
+    record_macs(b * spec.out_channels * cin_g * math.prod(ks) * flat)
 
     def backward(gout):
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            for i in range(kt):
-                for j in range(kf):
-                    dst = tap(gxp, i, j)
-                    if depthwise:
-                        dst += weight.data[:, 0, i, j].reshape(1, -1, 1, 1) * gout
-                    else:
-                        for gi in range(g):
-                            ics = slice(gi * cin_g, (gi + 1) * cin_g)
-                            ocs = slice(gi * cout_g, (gi + 1) * cout_g)
-                            gflat = gout[:, ocs].reshape(b, cout_g, t_out * f_out)
-                            dst[:, ics] += np.matmul(
-                                weight.data[ocs, :, i, j].T, gflat
-                            ).reshape(b, cin_g, t_out, f_out)
-            if pt or pf:
-                gxp = gxp[:, :, pt: pt + t, pf: pf + f]
+            for tap, win in taps:
+                dst = gxp[win]
+                if depthwise:
+                    dst += weight.data[(slice(None), 0) + tap].reshape(bcast) * gout
+                else:
+                    for ics, ocs in groups:
+                        gflat = gout[:, ocs].reshape(b, cout_g, flat)
+                        dst[:, ics] += np.matmul(
+                            weight.data[(ocs, slice(None)) + tap].T, gflat
+                        ).reshape((b, cin_g) + out_sizes)
+            if padded:
+                gxp = gxp[lead + tuple(slice(p, p + m) for p, m in zip(pads, sizes))]
             _accumulate(x, gxp)
         if weight.requires_grad:
             gw = np.zeros(weight.shape, dtype=weight.dtype)
-            for i in range(kt):
-                for j in range(kf):
-                    seg = tap(xp, i, j)
-                    if depthwise:
-                        gw[:, 0, i, j] = (gout * seg).sum(axis=(0, 2, 3))
-                    else:
-                        for gi in range(g):
-                            ics = slice(gi * cin_g, (gi + 1) * cin_g)
-                            ocs = slice(gi * cout_g, (gi + 1) * cout_g)
-                            gflat = gout[:, ocs].reshape(b, cout_g, t_out * f_out)
-                            sflat = seg[:, ics].reshape(b, cin_g, t_out * f_out)
-                            gw[ocs, :, i, j] = np.matmul(
-                                gflat, sflat.transpose(0, 2, 1)
-                            ).sum(axis=0)
+            for tap, win in taps:
+                seg = xp[win]
+                if depthwise:
+                    gw[(slice(None), 0) + tap] = (gout * seg).sum(axis=sum_axes)
+                else:
+                    for ics, ocs in groups:
+                        gflat = gout[:, ocs].reshape(b, cout_g, flat)
+                        sflat = seg[:, ics].reshape(b, cin_g, flat)
+                        gw[(ocs, slice(None)) + tap] = np.matmul(
+                            gflat, sflat.transpose(0, 2, 1)
+                        ).sum(axis=0)
             _accumulate(weight, gw)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, gout.sum(axis=(0, 2, 3)))
+            _accumulate(bias, gout.sum(axis=sum_axes))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _from_op(out, parents, backward)

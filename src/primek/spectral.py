@@ -321,6 +321,8 @@ def wav_read(path):
         raise AudioIOError(
             f"{path}: unsupported bit depth {8 * sampwidth}; only 16-bit PCM"
         )
+    if not raw:
+        raise AudioIOError(f"{path}: no audio frames")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_channels > 1:
         warnings.warn(f"{path}: downmixing {n_channels} channels by averaging")

@@ -384,16 +384,6 @@ def absolute(x):
     return _from_op(np.abs(x.data), (x,), backward)
 
 
-def sqrt(x):
-    out_data = np.sqrt(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * 0.5 / out_data)
-
-    return _from_op(out_data, (x,), backward)
-
-
 def powf(x, p):
     p = float(p)
     out_data = np.power(x.data, p)
@@ -425,6 +415,8 @@ def atan2(y, x):
     if y.shape != x.shape:
         raise ShapeError(f"atan2 shapes differ: {y.shape} vs {x.shape}")
     denom = y.data * y.data + x.data * x.data
+    # at the origin both numerators are 0: a 1 there gives the subgradient 0
+    denom = np.where(denom == 0, 1.0, denom)
 
     def backward(g):
         if y.requires_grad:

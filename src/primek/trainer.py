@@ -328,19 +328,16 @@ def train_toy(model_cfg, spectro_cfg, task, steps, weights=None, mode="new",
             ]
             clean = train_clean[sel]
             noisy = train_noisy[sel]
-            try:
-                total, comps = step_losses(
-                    model, spectro_cfg, clean, noisy, weights, mode
-                )
-                if not np.isfinite(total.data):
-                    raise TrainingDiverged(f"loss became {total.data} at step {step}")
-                model.zero_grad()
-                total.backward()
-                clip_grad_norm(params, opt_cfg.grad_clip)
-                adamw_step(params, state)
-            except TrainingDiverged:
-                # the previously written checkpoint stays as the last good one
-                raise
+            total, comps = step_losses(
+                model, spectro_cfg, clean, noisy, weights, mode
+            )
+            # on divergence the previously written checkpoint stays as the last good one
+            if not np.isfinite(total.data):
+                raise TrainingDiverged(f"loss became {total.data} at step {step}")
+            model.zero_grad()
+            total.backward()
+            clip_grad_norm(params, opt_cfg.grad_clip)
+            adamw_step(params, state)
             result.losses.append(float(total.data))
             if step % log_every == 0:
                 parts = " ".join(f"{k}={float(v.data):.6f}" for k, v in comps.items())

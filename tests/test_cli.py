@@ -200,6 +200,15 @@ def test_enhance_missing_checkpoint_is_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_enhance_empty_wav_is_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{"model.identity_mode": "true"})
+    src = make_wav(tmp_path / "empty.wav", n=0)
+    code, _, err = run(capsys, "--config", cfg, "enhance", src,
+                       str(tmp_path / "out.wav"))
+    assert code == 3
+    assert "no audio frames" in err
+
+
 def test_enhance_sample_rate_mismatch_is_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, **{"model.identity_mode": "true"})
     src = make_wav(tmp_path / "in8k.wav", rate=8000)

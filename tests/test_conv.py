@@ -242,11 +242,19 @@ def test_conv1d_gradients_match_finite_differences(spec, shape):
             assert abs(gflat[i] - fd) / (1 + max(abs(gflat[i]), abs(fd))) < 1e-7
 
 
-def test_conv2d_gradients_match_finite_differences():
-    spec = ConvSpec(2, 3, (3, 3), dilation=(2, 1), stride=(1, 2))
-    x = Tensor(RNG.standard_normal((1, 2, 8, 9)), requires_grad=True)
+@pytest.mark.parametrize(
+    "spec,shape",
+    [
+        (ConvSpec(2, 3, (3, 3), dilation=(2, 1), stride=(1, 2)), (1, 2, 8, 9)),
+        (ConvSpec(3, 3, (3, 3), dilation=(2, 2), groups=3), (1, 3, 8, 9)),
+        (ConvSpec(4, 6, (3, 3), groups=2), (1, 4, 7, 8)),
+    ],
+    ids=["full", "depthwise", "grouped"],
+)
+def test_conv2d_gradients_match_finite_differences(spec, shape):
+    x = Tensor(RNG.standard_normal(shape), requires_grad=True)
     w = rand_weight(spec, two_d=True)
-    b = Tensor(RNG.standard_normal(3), requires_grad=True)
+    b = Tensor(RNG.standard_normal(spec.out_channels), requires_grad=True)
     proj = RNG.standard_normal(conv2d(x, spec, w, b).shape)
 
     def scalar():
@@ -303,11 +311,23 @@ def test_conv_shape_errors_name_the_axis():
     with pytest.raises(ShapeError, match="bias"):
         conv1d(Tensor(np.zeros((1, 3, 8))), spec, rand_weight(spec),
                Tensor(np.zeros(4)))
+    spec = ConvSpec(3, 3, (3, 3), stride=(1, 1, 1))
+    with pytest.raises(ShapeError, match="spatial axis"):
+        conv2d(Tensor(np.zeros((1, 3, 8, 8))), spec, rand_weight(spec, two_d=True))
 
 
-def test_measured_macs_match_definition():
-    spec = ConvSpec(4, 6, (3, 5), groups=2)
-    x = Tensor(RNG.standard_normal((2, 4, 7, 9)))
+@pytest.mark.parametrize(
+    "conv,spec,shape,want",
+    [
+        (conv2d, ConvSpec(4, 6, (3, 5), groups=2), (2, 4, 7, 9),
+         2 * 6 * 2 * 3 * 5 * 7 * 9),  # B*C_out*(C_in/g)*Kt*Kf*t*f
+        (conv1d, ConvSpec(4, 6, 5, groups=2), (2, 4, 7),
+         2 * 6 * 2 * 5 * 7),  # B*C_out*(C_in/g)*K*t
+    ],
+    ids=["conv2d", "conv1d"],
+)
+def test_measured_macs_match_definition(conv, spec, shape, want):
+    x = Tensor(RNG.standard_normal(shape))
     with T.count_macs() as rec:
-        conv2d(x, spec, rand_weight(spec, two_d=True))
-    assert rec.macs == 2 * 6 * 2 * 3 * 5 * 7 * 9  # B*C_out*(C_in/g)*Kt*Kf*t*f
+        conv(x, spec, rand_weight(spec, two_d=conv is conv2d))
+    assert rec.macs == want
