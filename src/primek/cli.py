@@ -274,6 +274,7 @@ def cmd_train(cfg, args):
         weights=cfg.weights, mode=cfg.loss_mode, opt_cfg=cfg.opt,
         out_dir=args.out_dir, batch_size=cfg.batch_size, seed=args.seed,
         checkpoint_every=max(1, steps // 4), progress=progress,
+        config_hash=C.config_hash(cfg),
     )
     _, (eval_clean, eval_noisy) = TR.make_dataset(cfg.task)
     snr_est, snr_noisy = TR.evaluate(result.model, cfg.spectro,
@@ -288,7 +289,8 @@ def cmd_train(cfg, args):
 def cmd_enhance(cfg, args):
     model = B.EnhancementModel(cfg.model, seed=args.seed)
     if args.checkpoint is not None:
-        TR.load_checkpoint(args.checkpoint, model)
+        TR.load_checkpoint(args.checkpoint, model,
+                           expect_hash=C.config_hash(cfg))
     elif not cfg.model.identity_mode:
         print("enhance: no checkpoint given and the model is not configured "
               "as identity", file=sys.stderr)

@@ -126,10 +126,6 @@ class ComplexityReport:
     bins: int
     entries: list = field(default_factory=list)
 
-    @property
-    def total_measured_macs(self):
-        return sum(e.measured_macs for e in self.entries)
-
     def to_text(self):
         head = (
             f"{'block':<22}{'MACs(analytic)':>16}{'MACs(measured)':>16}"

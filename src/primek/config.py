@@ -8,7 +8,8 @@ tied back to an exact setup.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import reduce
 
 from .blocks import DenseBlockSpec, GpfcaConfig, KernelGroup, ModelConfig
 from .losses import LossWeights
@@ -70,7 +71,39 @@ _PRESETS = {"default": default_run_config, "tiny": tiny_run_config}
 # flat representation
 # ---------------------------------------------------------------------------
 
+# Keys are `<section>.<field>` over the fields of these RunConfig objects,
+# so the dataclasses are the only place a key or its default is written.
+_SECTIONS = {
+    "model": ("model",),
+    "dense": ("model", "dense"),
+    "gpfca": ("model", "gpfca"),
+    "spectro": ("spectro",),
+    "loss": ("weights",),
+    "opt": ("opt",),
+    "task": ("task",),
+}
+_TOP_LEVEL = {
+    "loss.mode": ("loss_mode",),
+    "train.steps": ("train_steps",),
+    "train.batch_size": ("batch_size",),
+}
+# fields that are not keys: ModelConfig requires both to equal model.channels
+_DERIVED = {"dense.channels": "model.channels", "gpfca.channels": "model.channels"}
+
+
+def _field_paths(cfg):
+    """Map `<section>.<field>` and the top-level keys to RunConfig paths."""
+    paths = dict(_TOP_LEVEL)
+    for section, path in _SECTIONS.items():
+        for f in fields(reduce(getattr, path, cfg)):
+            if (*path, f.name) not in _SECTIONS.values():
+                paths[f"{section}.{f.name}"] = (*path, f.name)
+    return paths
+
+
 def _fmt(v):
+    if isinstance(v, KernelGroup):
+        v = v.sizes
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (tuple, list)):
@@ -80,58 +113,8 @@ def _fmt(v):
 
 def dump(cfg):
     """Canonical flat text form of a RunConfig (sorted keys)."""
-    m, sp, w, o, t = cfg.model, cfg.spectro, cfg.weights, cfg.opt, cfg.task
-    pairs = {
-        "model.channels": m.channels,
-        "model.ts_block_count": m.ts_block_count,
-        "model.ts_count_unit": m.ts_count_unit,
-        "model.mask_max": m.mask_max,
-        "model.phase_input_skip": m.phase_input_skip,
-        "model.identity_mode": m.identity_mode,
-        "dense.depth": m.dense.depth,
-        "dense.kernel": m.dense.kernel,
-        "dense.dilations": m.dense.dilations,
-        "dense.variant": m.dense.variant,
-        "gpfca.ffn_expansion": m.gpfca.ffn_expansion,
-        "gpfca.attn_expansion": m.gpfca.attn_expansion,
-        "gpfca.kernel_group": m.gpfca.kernel_group.sizes,
-        "gpfca.shared_dwc": m.gpfca.shared_dwc,
-        "gpfca.norm_eps": m.gpfca.norm_eps,
-        "spectro.fft_size": sp.fft_size,
-        "spectro.win_length": sp.win_length,
-        "spectro.hop": sp.hop,
-        "spectro.window": sp.window,
-        "spectro.sample_rate": sp.sample_rate,
-        "spectro.segment_seconds": sp.segment_seconds,
-        "spectro.compression_exponent": sp.compression_exponent,
-        "spectro.center": sp.center,
-        "loss.mode": cfg.loss_mode,
-        "loss.metric": w.metric,
-        "loss.magnitude": w.magnitude,
-        "loss.phase": w.phase,
-        "loss.complex": w.complex,
-        "loss.time": w.time,
-        "loss.consistency": w.consistency,
-        "opt.lr": o.lr,
-        "opt.beta1": o.beta1,
-        "opt.beta2": o.beta2,
-        "opt.eps": o.eps,
-        "opt.weight_decay": o.weight_decay,
-        "opt.grad_clip": o.grad_clip,
-        "train.steps": cfg.train_steps,
-        "train.batch_size": cfg.batch_size,
-        "task.sample_rate": t.sample_rate,
-        "task.segment_samples": t.segment_samples,
-        "task.sinusoids_min": t.sinusoids_min,
-        "task.sinusoids_max": t.sinusoids_max,
-        "task.freq_min": t.freq_min,
-        "task.freq_max": t.freq_max,
-        "task.snr_db_min": t.snr_db_min,
-        "task.snr_db_max": t.snr_db_max,
-        "task.train_size": t.train_size,
-        "task.eval_size": t.eval_size,
-        "task.seed": t.seed,
-    }
+    pairs = {key: reduce(getattr, path, cfg) for key, path in _field_paths(cfg).items()
+             if key not in _DERIVED}
     return "\n".join(f"{k} = {_fmt(v)}" for k, v in sorted(pairs.items())) + "\n"
 
 
@@ -139,7 +122,11 @@ def config_hash(cfg):
     return hashlib.sha256(dump(cfg).encode()).hexdigest()[:16]
 
 
-def _parse_scalar(raw, like):
+def _parse_value(raw, like):
+    if isinstance(like, KernelGroup):
+        return KernelGroup(_parse_value(raw, like.sizes))
+    if isinstance(like, tuple):
+        return tuple(int(x) for x in raw.split(","))
     if isinstance(like, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -173,107 +160,42 @@ def parse(text):
     return pairs
 
 
+def _construct(proto, path, values):
+    """A copy of dataclass `proto` (at `path` in RunConfig) built from the
+    given field values; every other field keeps its dataclass default."""
+    kwargs = {}
+    for f in fields(proto):
+        sub = (*path, f.name)
+        if sub in values:
+            kwargs[f.name] = values[sub]
+        elif sub in _SECTIONS.values():
+            kwargs[f.name] = _construct(getattr(proto, f.name), sub, values)
+    return type(proto)(**kwargs)
+
+
 def build(pairs):
     """Materialize a RunConfig from flat pairs; unknown keys are rejected."""
-    base = dump(RunConfig())
-    known = {k.split(" = ")[0] for k in base.splitlines()}
+    base = RunConfig()
+    paths = _field_paths(base)
     for key in pairs:
-        if key not in known:
+        if key not in paths or key in _DERIVED:
             raise ConfigError("unknown configuration key", key=key)
-
-    def get(key, default, cast=None):
-        if key not in pairs:
-            return default
-        raw = pairs[key]
+    values = {}
+    for key, raw in pairs.items():
         try:
-            if cast is not None:
-                return cast(raw)
-            return _parse_scalar(raw, default)
+            values[paths[key]] = _parse_value(raw, reduce(getattr, paths[key], base))
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), key=key) from exc
-
-    def ints(raw):
-        return tuple(int(x) for x in raw.split(","))
-
+    for key, source in _DERIVED.items():
+        if paths[source] in values:
+            values[paths[key]] = values[paths[source]]
     try:
-        channels = get("model.channels", 64)
-        dense = DenseBlockSpec(
-            depth=get("dense.depth", 4),
-            channels=channels,
-            kernel=get("dense.kernel", 3),
-            dilations=get("dense.dilations", None, cast=ints),
-            variant=get("dense.variant", "DSDDB"),
-        )
-        gpfca = GpfcaConfig(
-            channels=channels,
-            kernel_group=KernelGroup(get("gpfca.kernel_group", (3, 11, 23, 31), cast=ints)),
-            ffn_expansion=get("gpfca.ffn_expansion", 12),
-            attn_expansion=get("gpfca.attn_expansion", 2),
-            shared_dwc=get("gpfca.shared_dwc", False),
-            norm_eps=get("gpfca.norm_eps", 1e-5),
-        )
-        model = ModelConfig(
-            channels=channels,
-            dense=dense,
-            gpfca=gpfca,
-            ts_block_count=get("model.ts_block_count", 2),
-            ts_count_unit=get("model.ts_count_unit", "pair"),
-            mask_max=get("model.mask_max", 2.0),
-            phase_input_skip=get("model.phase_input_skip", True),
-            identity_mode=get("model.identity_mode", False),
-        )
-        spectro = SpectroConfig(
-            fft_size=get("spectro.fft_size", 400),
-            win_length=get("spectro.win_length", 400),
-            hop=get("spectro.hop", 100),
-            window=get("spectro.window", "hann"),
-            sample_rate=get("spectro.sample_rate", 16000),
-            segment_seconds=get("spectro.segment_seconds", 2.0),
-            compression_exponent=get("spectro.compression_exponent", 0.3),
-            center=get("spectro.center", True),
-        )
-        weights = LossWeights(
-            metric=get("loss.metric", 0.0),
-            magnitude=get("loss.magnitude", 0.9),
-            phase=get("loss.phase", 0.3),
-            complex=get("loss.complex", 0.1),
-            time=get("loss.time", 0.2),
-            consistency=get("loss.consistency", 0.1),
-        )
-        opt = OptConfig(
-            lr=get("opt.lr", 5e-4),
-            beta1=get("opt.beta1", 0.8),
-            beta2=get("opt.beta2", 0.99),
-            eps=get("opt.eps", 1e-8),
-            weight_decay=get("opt.weight_decay", 0.01),
-            grad_clip=get("opt.grad_clip", 5.0),
-        )
-        task = ToyTaskSpec(
-            sample_rate=get("task.sample_rate", 16000),
-            segment_samples=get("task.segment_samples", 2048),
-            sinusoids_min=get("task.sinusoids_min", 3),
-            sinusoids_max=get("task.sinusoids_max", 8),
-            freq_min=get("task.freq_min", 200.0),
-            freq_max=get("task.freq_max", 4000.0),
-            snr_db_min=get("task.snr_db_min", 0.0),
-            snr_db_max=get("task.snr_db_max", 10.0),
-            train_size=get("task.train_size", 96),
-            eval_size=get("task.eval_size", 32),
-            seed=get("task.seed", 0),
-        )
-        mode = get("loss.mode", "new")
-        if mode not in ("old", "new"):
-            raise ConfigError("loss.mode must be 'old' or 'new'", key="loss.mode")
-        return RunConfig(
-            model=model, spectro=spectro, weights=weights, opt=opt, task=task,
-            loss_mode=mode,
-            train_steps=get("train.steps", 2000),
-            batch_size=get("train.batch_size", 2),
-        )
-    except ConfigError:
-        raise
+        cfg = _construct(base, (), values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.loss_mode not in ("old", "new"):
+        raise ConfigError("loss.mode must be 'old' or 'new'", key="loss.mode")
+    return cfg
 
 
 def load(source):

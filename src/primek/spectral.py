@@ -48,6 +48,8 @@ def rect_window(length):
 
 _WINDOWS = {"hann": hann_window, "rect": rect_window}
 
+COLA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectroConfig:
@@ -59,7 +61,6 @@ class SpectroConfig:
     segment_seconds: float = 2.0
     compression_exponent: float = 0.3
     center: bool = True
-    cola_tol: float = 1e-10
 
     def __post_init__(self):
         if self.win_length > self.fft_size:
@@ -73,7 +74,7 @@ class SpectroConfig:
         if self.window not in _WINDOWS:
             raise ValueError(f"unknown window kind {self.window!r}")
         dev = self.cola_deviation()
-        if dev > self.cola_tol:
+        if dev > COLA_TOL:
             raise ColaError(
                 f"window {self.window!r} with hop {self.hop} is not COLA "
                 f"(squared-window overlap deviates by {dev:.3e})"

@@ -151,9 +151,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     # -- autograd -----------------------------------------------------------
 
     def backward(self):

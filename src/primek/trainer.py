@@ -219,7 +219,8 @@ def load_checkpoint(path, model, expect_hash=None):
             line = line.strip()
             if not line:
                 continue
-            key, _, value = line.partition(" = ")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
             if key.startswith("tensor."):
                 tensors[key[len("tensor."):]] = value
             else:
@@ -300,7 +301,7 @@ def evaluate(model, spectro_cfg, clean, noisy):
 
 def train_toy(model_cfg, spectro_cfg, task, steps, weights=None, mode="new",
               opt_cfg=None, out_dir=".", batch_size=2, seed=None,
-              log_every=1, checkpoint_every=0, progress=None):
+              checkpoint_every=0, progress=None, config_hash=""):
     """Seeded end-to-end training on the synthetic task.
 
     Writes an append-only per-step loss log and a final checkpoint; on
@@ -317,7 +318,7 @@ def train_toy(model_cfg, spectro_cfg, task, steps, weights=None, mode="new",
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint")
     log_path = os.path.join(out_dir, "train_log.txt")
-    save_checkpoint(ckpt_path, model, step=0, seed=seed)
+    save_checkpoint(ckpt_path, model, step=0, seed=seed, config_hash=config_hash)
     result = TrainResult(model=model, checkpoint=ckpt_path, log_path=log_path)
 
     order = np.random.default_rng(seed + 1).permutation(len(train_clean))
@@ -339,13 +340,13 @@ def train_toy(model_cfg, spectro_cfg, task, steps, weights=None, mode="new",
             clip_grad_norm(params, opt_cfg.grad_clip)
             adamw_step(params, state)
             result.losses.append(float(total.data))
-            if step % log_every == 0:
-                parts = " ".join(f"{k}={float(v.data):.6f}" for k, v in comps.items())
-                log.write(f"step={step} {parts} total={float(total.data):.6f}\n")
-                log.flush()
+            parts = " ".join(f"{k}={float(v.data):.6f}" for k, v in comps.items())
+            log.write(f"step={step} {parts} total={float(total.data):.6f}\n")
+            log.flush()
             if checkpoint_every and step % checkpoint_every == 0:
-                save_checkpoint(ckpt_path, model, step=step, seed=seed)
+                save_checkpoint(ckpt_path, model, step=step, seed=seed,
+                                config_hash=config_hash)
             if progress and step % 100 == 0:
                 progress(step, float(total.data))
-    save_checkpoint(ckpt_path, model, step=steps, seed=seed)
+    save_checkpoint(ckpt_path, model, step=steps, seed=seed, config_hash=config_hash)
     return result

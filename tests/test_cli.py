@@ -5,6 +5,7 @@ import pytest
 
 import primek.cli as cli
 from primek import config as C
+from primek.blocks import DenseBlockSpec, ModelConfig
 from primek.complexity import params_ddb, params_dsddb
 from primek.spectral import wav_read, wav_write
 from primek.tensor import Tensor
@@ -53,6 +54,29 @@ def test_unknown_key_in_config_file_is_exit_2(tmp_path, capsys):
 def test_unknown_preset_is_exit_2(capsys):
     code, _, err = run(capsys, "--config", "no-such-preset", "analyze")
     assert code == 2
+
+
+@pytest.mark.parametrize("preset, digest", [
+    ("default", "00396aafd01b5cea"),
+    ("tiny", "d5f85168c9ced196"),
+])
+def test_preset_dump_roundtrips_and_hash_is_pinned(preset, digest):
+    cfg = C.load(preset)
+    assert C.build(C.parse(C.dump(cfg))) == cfg
+    assert C.config_hash(cfg) == digest
+
+
+def test_partial_config_keeps_dataclass_defaults():
+    cfg = C.build(C.parse("dense.depth = 3\n"))
+    assert cfg.model.dense.dilations == (1, 2, 4)
+    assert cfg == C.RunConfig(model=ModelConfig(dense=DenseBlockSpec(depth=3)))
+
+
+def test_malformed_value_is_exit_2_naming_the_key(tmp_path, capsys):
+    path = write_config(tmp_path, **{"spectro.center": "maybe"})
+    code, _, err = run(capsys, "--config", path, "analyze")
+    assert code == 2
+    assert "spectro.center" in err
 
 
 def test_selftest_all_checks_pass(capsys):
@@ -232,3 +256,26 @@ def test_train_few_steps_writes_checkpoint_and_log(tmp_path, capsys):
     assert "improvement" in out
     assert "checkpoint:" in out
     assert (out_dir / "train_log.txt").exists()
+
+
+def test_enhance_rejects_checkpoint_of_another_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{"task.train_size": "4",
+                                    "task.eval_size": "2"})
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, "--config", cfg, "train", "--steps", "2",
+                     "--out-dir", str(out_dir))
+    assert code == 0
+    src = make_wav(tmp_path / "in.wav")
+    ckpt = str(out_dir / "checkpoint")
+    code, _, _ = run(capsys, "--config", cfg, "enhance", src,
+                     str(tmp_path / "out.wav"), "--checkpoint", ckpt)
+    assert code == 0
+    other = write_config(tmp_path, **{"task.train_size": "4",
+                                      "task.eval_size": "2",
+                                      "spectro.fft_size": "256",
+                                      "spectro.win_length": "256",
+                                      "spectro.hop": "64"})
+    code, _, err = run(capsys, "--config", other, "enhance", src,
+                       str(tmp_path / "out.wav"), "--checkpoint", ckpt)
+    assert code == 2
+    assert "hash" in err

@@ -203,6 +203,17 @@ def test_checkpoint_hash_mismatch_rejected(tmp_path):
         load_checkpoint(path, model, expect_hash="different")
 
 
+@pytest.mark.parametrize("expect_hash", ["abc", "d5f85168c9ced196"])
+def test_checkpoint_without_hash_loads_under_any_expected_hash(tmp_path,
+                                                               expect_hash):
+    model = EnhancementModel(tiny_model_cfg(), seed=1)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, model, step=0, seed=1)
+    meta = load_checkpoint(path, EnhancementModel(tiny_model_cfg(), seed=2),
+                           expect_hash=expect_hash)
+    assert meta["config_hash"] == ""
+
+
 def test_checkpoint_model_mismatch_rejected(tmp_path):
     model = EnhancementModel(tiny_model_cfg(), seed=1)
     path = tmp_path / "ckpt"
