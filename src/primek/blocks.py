@@ -8,6 +8,7 @@ where the contract is a formula over explicit weight tensors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -153,7 +154,7 @@ class Module:
         return sum(
             p.size
             for n, p in self.named_params().items()
-            if n.endswith(".weight") or n.endswith("weight")
+            if n.endswith("weight")
         )
 
     def zero_grad(self):
@@ -188,35 +189,20 @@ class Norm(Module):
         return T.normalize(x, self.axes, self.gain, self.bias, self.eps)
 
 
-class Conv1d(Module):
+class Conv(Module):
+    """conv1d or conv2d, chosen by the rank of the weight at call time."""
+
     def __init__(self, rng, spec, bias=True):
         super().__init__()
         self.spec = spec
-        cin_g = spec.in_channels // spec.groups
-        fan_in = cin_g * spec.kernel
-        self.weight = self.param(
-            "weight", _winit(rng, (spec.out_channels, cin_g, spec.kernel), fan_in)
-        )
+        kernel = spec.kernel if isinstance(spec.kernel, tuple) else (spec.kernel,)
+        shape = (spec.out_channels, spec.in_channels // spec.groups) + kernel
+        self.weight = self.param("weight", _winit(rng, shape, math.prod(shape[1:])))
         self.bias = self.param("bias", _zeros(spec.out_channels)) if bias else None
 
     def forward(self, x):
-        return conv1d(x, self.spec, self.weight, self.bias)
-
-
-class Conv2d(Module):
-    def __init__(self, rng, spec, bias=True):
-        super().__init__()
-        self.spec = spec
-        kt, kf = spec.kernel if isinstance(spec.kernel, tuple) else (spec.kernel,) * 2
-        cin_g = spec.in_channels // spec.groups
-        fan_in = cin_g * kt * kf
-        self.weight = self.param(
-            "weight", _winit(rng, (spec.out_channels, cin_g, kt, kf), fan_in)
-        )
-        self.bias = self.param("bias", _zeros(spec.out_channels)) if bias else None
-
-    def forward(self, x):
-        return conv2d(x, self.spec, self.weight, self.bias)
+        conv = conv1d if self.weight.ndim == 3 else conv2d
+        return conv(x, self.spec, self.weight, self.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +260,16 @@ class FusionGate(Module):
         self.kernel = kernel
         self.shared_dwc = shared_dwc
         self.dwc_gate = self.child(
-            "dwc_gate", Conv1d(rng, ConvSpec(channels, channels, kernel, groups=channels))
+            "dwc_gate", Conv(rng, ConvSpec(channels, channels, kernel, groups=channels))
         )
         if not shared_dwc:
             self.dwc_value = self.child(
                 "dwc_value",
-                Conv1d(rng, ConvSpec(channels, channels, kernel, groups=channels)),
+                Conv(rng, ConvSpec(channels, channels, kernel, groups=channels)),
             )
         else:
             self.dwc_value = self.dwc_gate
-        self.pwc = self.child("pwc", Conv1d(rng, ConvSpec(channels, channels, 1)))
+        self.pwc = self.child("pwc", Conv(rng, ConvSpec(channels, channels, 1)))
 
     def forward(self, x):
         return dfg_forward(
@@ -322,11 +308,11 @@ class FeedForward(Module):
         super().__init__()
         c = cfg.channels
         hidden = cfg.ffn_expansion * c
-        self.expand = self.child("expand", Conv1d(rng, ConvSpec(c, hidden, 1)))
+        self.expand = self.child("expand", Conv(rng, ConvSpec(c, hidden, 1)))
         self.gpgu = self.child(
             "gpgu", GatedUnit(rng, hidden, cfg.kernel_group, cfg.shared_dwc)
         )
-        self.fuse = self.child("fuse", Conv1d(rng, ConvSpec(hidden, c, 1)))
+        self.fuse = self.child("fuse", Conv(rng, ConvSpec(hidden, c, 1)))
 
     def forward(self, x):
         return self.fuse.forward(self.gpgu.forward(self.expand.forward(x)))
@@ -343,12 +329,12 @@ class GpfcaBlock(Module):
         wide = cfg.attn_expansion * c
         self.cfg = cfg
         self.norm1 = self.child("norm1", Norm(c, axes=(1,), eps=cfg.norm_eps))
-        self.inflate = self.child("inflate", Conv1d(rng, ConvSpec(c, wide, 1)))
+        self.inflate = self.child("inflate", Conv(rng, ConvSpec(c, wide, 1)))
         self.dwc = self.child(
-            "dwc", Conv1d(rng, ConvSpec(wide, wide, 3, groups=wide))
+            "dwc", Conv(rng, ConvSpec(wide, wide, 3, groups=wide))
         )
         self.sca = self.child("sca", ChannelAttention(rng, wide // 2))
-        self.project = self.child("project", Conv1d(rng, ConvSpec(wide // 2, c, 1)))
+        self.project = self.child("project", Conv(rng, ConvSpec(wide // 2, c, 1)))
         self.scale1 = self.param("scale1", _zeros(c))
         self.norm2 = self.child("norm2", Norm(c, axes=(1,), eps=cfg.norm_eps))
         self.ffn = self.child("ffn", FeedForward(rng, cfg))
@@ -391,19 +377,19 @@ class DenseBlock(Module):
             if spec.variant == "DDB":
                 entry["conv"] = self.child(
                     f"layer{i}.conv",
-                    Conv2d(rng, ConvSpec(cin, c, (k, k), dilation=(d, d))),
+                    Conv(rng, ConvSpec(cin, c, (k, k), dilation=(d, d))),
                 )
             else:
                 entry["depthwise"] = self.child(
                     f"layer{i}.depthwise",
-                    Conv2d(
+                    Conv(
                         rng,
                         ConvSpec(cin, cin, (k, k), dilation=(d, d), groups=cin),
                         bias=False,
                     ),
                 )
                 entry["pointwise"] = self.child(
-                    f"layer{i}.pointwise", Conv2d(rng, ConvSpec(cin, c, (1, 1)))
+                    f"layer{i}.pointwise", Conv(rng, ConvSpec(cin, c, (1, 1)))
                 )
             entry["norm"] = self.child(f"layer{i}.norm", Norm(c, axes=(2, 3)))
             entry["alpha"] = self.param(f"layer{i}.alpha", Tensor(
@@ -424,14 +410,6 @@ class DenseBlock(Module):
             feats.append(out)
         return out
 
-    def conv_weight_count(self):
-        total = 0
-        for entry in self.layers:
-            for key in ("conv", "depthwise", "pointwise"):
-                if key in entry:
-                    total += entry[key].weight.size
-        return total
-
 
 # ---------------------------------------------------------------------------
 # encoder / decoders / assembled model
@@ -443,12 +421,12 @@ class Encoder(Module):
     def __init__(self, rng, cfg):
         super().__init__()
         c = cfg.channels
-        self.stem = self.child("stem", Conv2d(rng, ConvSpec(2, c, (1, 1))))
+        self.stem = self.child("stem", Conv(rng, ConvSpec(2, c, (1, 1))))
         self.stem_norm = self.child("stem_norm", Norm(c, axes=(2, 3)))
         self.stem_alpha = self.param("stem_alpha", Tensor(np.full(c, 0.25), requires_grad=True))
         self.dense = self.child("dense", DenseBlock(rng, cfg.dense))
         self.down = self.child(
-            "down", Conv2d(rng, ConvSpec(c, c, (3, 3), stride=(1, 2)))
+            "down", Conv(rng, ConvSpec(c, c, (3, 3), stride=(1, 2)))
         )
         self.down_norm = self.child("down_norm", Norm(c, axes=(2, 3)))
         self.down_alpha = self.param("down_alpha", Tensor(np.full(c, 0.25), requires_grad=True))
@@ -464,7 +442,7 @@ class _DecoderCore(Module):
         super().__init__()
         c = cfg.channels
         self.dense = self.child("dense", DenseBlock(rng, cfg.dense))
-        self.conv = self.child("conv", Conv2d(rng, ConvSpec(c, c, (3, 3))))
+        self.conv = self.child("conv", Conv(rng, ConvSpec(c, c, (3, 3))))
         self.norm = self.child("norm", Norm(c, axes=(2, 3)))
         self.alpha = self.param("alpha", Tensor(np.full(c, 0.25), requires_grad=True))
 
@@ -481,7 +459,7 @@ class MaskDecoder(Module):
         super().__init__()
         self.cfg = cfg
         self.core = self.child("core", _DecoderCore(rng, cfg))
-        self.head = self.child("head", Conv2d(rng, ConvSpec(cfg.channels, 1, (1, 1))))
+        self.head = self.child("head", Conv(rng, ConvSpec(cfg.channels, 1, (1, 1))))
         # start at mask == 1 so the untrained model is magnitude-neutral
         self.head.weight.data[:] = 0.0
 
@@ -503,10 +481,10 @@ class PhaseDecoder(Module):
         self.cfg = cfg
         self.core = self.child("core", _DecoderCore(rng, cfg))
         self.head_real = self.child(
-            "head_real", Conv2d(rng, ConvSpec(cfg.channels, 1, (1, 1)))
+            "head_real", Conv(rng, ConvSpec(cfg.channels, 1, (1, 1)))
         )
         self.head_imag = self.child(
-            "head_imag", Conv2d(rng, ConvSpec(cfg.channels, 1, (1, 1)))
+            "head_imag", Conv(rng, ConvSpec(cfg.channels, 1, (1, 1)))
         )
         if cfg.phase_input_skip:
             self.head_real.weight.data[:] = 0.0
@@ -540,10 +518,9 @@ def _to_b1tf(x):
 class EnhancementModel(Module):
     """Encoder -> alternating time/frequency sequence blocks -> two heads."""
 
-    def __init__(self, cfg, rng=None, seed=0):
+    def __init__(self, cfg, seed=0):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self.cfg = cfg
         self.encoder = self.child("encoder", Encoder(rng, cfg))
         self.ts_blocks = []

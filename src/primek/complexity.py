@@ -67,15 +67,15 @@ def params_dsddb(n, c, k):
 # measured counters
 # ---------------------------------------------------------------------------
 
-def measure_block_macs(block, t, f, batch=1):
+def measure_block_macs(block, t, f):
     """Run a dense block on zeros of [1, C, t, f] and read the MAC counter."""
-    x = Tensor(np.zeros((batch, block.spec.channels, t, f)))
+    x = Tensor(np.zeros((1, block.spec.channels, t, f)))
     with no_grad(), count_macs() as rec:
         block.forward(x)
     return rec.macs
 
 
-def _model_macs_at(model, cfg, frames, bins):
+def _model_macs_at(model, frames, bins):
     spec = Spectrogram(
         Tensor(np.zeros((1, bins, frames))),
         Tensor(np.zeros((1, bins, frames))),
@@ -100,8 +100,8 @@ def measure_model_macs(model, cfg, frames, bins):
     affine in the frame axis, so the total at any frame count follows
     exactly from dry runs at 1 and 2 frames (loop bounds, not data).
     """
-    m1 = _model_macs_at(model, cfg, 1, bins)
-    m2 = _model_macs_at(model, cfg, 2, bins)
+    m1 = _model_macs_at(model, 1, bins)
+    m2 = _model_macs_at(model, 2, bins)
     slope = m2 - m1
     return m1 + slope * (int(frames) - 1)
 

@@ -17,8 +17,7 @@ import numpy as np
 from .tensor import (
     Tensor,
     ShapeError,
-    _from_op,
-    _accumulate,
+    _unary,
     atan2,
     cos,
     mul,
@@ -201,9 +200,7 @@ def stft_rect(wave, cfg):
         [spec.real.transpose(0, 2, 1), spec.imag.transpose(0, 2, 1)], axis=1
     )
 
-    def backward(g):
-        if not wave.requires_grad:
-            return
+    def grad(g):
         h = g[:, 0].transpose(0, 2, 1) + 1j * g[:, 1].transpose(0, 2, 1)
         h = h / _rfft_bin_scale(cfg.fft_size)
         frame_grad = cfg.fft_size * np.fft.irfft(h, n=cfg.fft_size, axis=-1)
@@ -211,9 +208,9 @@ def stft_rect(wave, cfg):
         gpad = np.zeros_like(xp)
         for m in range(t_frames):
             gpad[:, m * cfg.hop: m * cfg.hop + cfg.win_length] += frame_grad[:, m]
-        _accumulate(wave, _reflect_fold(gpad, p, n) if p else gpad)
+        return _reflect_fold(gpad, p, n) if p else gpad
 
-    return _from_op(out, (wave,), backward)
+    return _unary(wave, out, grad)
 
 
 def istft_rect(rect, cfg, target_len):
@@ -245,9 +242,7 @@ def istft_rect(rect, cfg, target_len):
     y /= wss
     out = np.ascontiguousarray(y[:, p: p + target_len])
 
-    def backward(g):
-        if not rect.requires_grad:
-            return
+    def grad(g):
         gy = np.zeros((b, full))
         gy[:, p: p + target_len] = g
         gy /= wss
@@ -260,9 +255,9 @@ def istft_rect(rect, cfg, target_len):
         gim[:, 0] = 0.0  # irfft ignores imaginary parts of the DC bin
         if fft % 2 == 0:
             gim[:, -1] = 0.0
-        _accumulate(rect, np.stack([gre, gim], axis=1))
+        return np.stack([gre, gim], axis=1)
 
-    return _from_op(out, (rect,), backward)
+    return _unary(rect, out, grad)
 
 
 # ---------------------------------------------------------------------------

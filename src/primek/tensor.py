@@ -34,54 +34,36 @@ class CorruptTensorError(ValueError):
 # instrumentation: allocation tracking (memory benchmark) and MAC counting
 # ---------------------------------------------------------------------------
 
-class AllocationRecorder:
-    """Accumulates bytes of tensor storage allocated while active."""
-
-    def __init__(self):
-        self.bytes_allocated = 0
-
-    def add(self, nbytes):
-        self.bytes_allocated += nbytes
-
-
-class MacRecorder:
-    """Accumulates multiply-accumulate counts reported by conv ops."""
+class Recorder:
+    """Multiply-accumulates reported by conv ops and bytes of tensor storage
+    allocated while active. Every active recorder receives every event."""
 
     def __init__(self):
         self.macs = 0
-
-    def add(self, count):
-        self.macs += count
+        self.bytes_allocated = 0
 
 
-_alloc_stack: list[AllocationRecorder] = []
-_mac_stack: list[MacRecorder] = []
+_recorders: list[Recorder] = []
 _grad_enabled = True
 
 
 @contextmanager
-def track_allocations():
-    rec = AllocationRecorder()
-    _alloc_stack.append(rec)
-    try:
-        yield rec
-    finally:
-        _alloc_stack.remove(rec)
-
-
-@contextmanager
 def count_macs():
-    rec = MacRecorder()
-    _mac_stack.append(rec)
+    """Yield a Recorder that counts until the block exits."""
+    rec = Recorder()
+    _recorders.append(rec)
     try:
         yield rec
     finally:
-        _mac_stack.remove(rec)
+        _recorders.remove(rec)
+
+
+track_allocations = count_macs
 
 
 def record_macs(count):
-    for rec in _mac_stack:
-        rec.add(int(count))
+    for rec in _recorders:
+        rec.macs += int(count)
 
 
 @contextmanager
@@ -110,8 +92,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward_fn = None
-        for rec in _alloc_stack:
-            rec.add(arr.nbytes)
+        for rec in _recorders:
+            rec.bytes_allocated += arr.nbytes
 
     # -- basic introspection ------------------------------------------------
 
@@ -237,6 +219,12 @@ def _from_op(data, parents, backward_fn):
     return out
 
 
+def _unary(x, data, grad_fn):
+    """Tape op with the single parent x; grad_fn maps the output gradient
+    to x's. A backward is attached only when x requires a gradient."""
+    return _from_op(data, (x,), lambda g: _accumulate(x, grad_fn(g)))
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
@@ -288,31 +276,17 @@ def mul(a, b):
 
 
 def neg(a):
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
-
-    return _from_op(-a.data, (a,), backward)
+    return _unary(a, -a.data, lambda g: -g)
 
 
 def add_scalar(a, c):
     c = float(c)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-
-    return _from_op(a.data + c, (a,), backward)
+    return _unary(a, a.data + c, lambda g: g)
 
 
 def mul_scalar(a, c):
     c = float(c)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * c)
-
-    return _from_op(a.data * c, (a,), backward)
+    return _unary(a, a.data * c, lambda g: g * c)
 
 
 def scale_channels(x, s):
@@ -337,34 +311,27 @@ def scale_channels(x, s):
 # ---------------------------------------------------------------------------
 
 def sum_all(x):
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g, x.shape).astype(x.dtype))
-
-    return _from_op(x.data.sum(), (x,), backward)
+    return _unary(
+        x, x.data.sum(), lambda g: np.broadcast_to(g, x.shape).astype(x.dtype)
+    )
 
 
 def mean_all(x):
     n = x.data.size
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.full(x.shape, float(g) / n, dtype=x.dtype))
-
-    return _from_op(x.data.mean(), (x,), backward)
+    return _unary(
+        x, x.data.mean(), lambda g: np.full(x.shape, float(g) / n, dtype=x.dtype)
+    )
 
 
 def mean_axis(x, axis, keepdims=True):
     axis = int(axis)
     n = x.shape[axis]
-    out_data = x.data.mean(axis=axis, keepdims=keepdims)
 
-    def backward(g):
-        if x.requires_grad:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(gg / n, x.shape).astype(x.dtype))
+    def grad(g):
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg / n, x.shape).astype(x.dtype)
 
-    return _from_op(out_data, (x,), backward)
+    return _unary(x, x.data.mean(axis=axis, keepdims=keepdims), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -373,39 +340,22 @@ def mean_axis(x, axis, keepdims=True):
 
 def absolute(x):
     sign = np.sign(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * sign)
-
-    return _from_op(np.abs(x.data), (x,), backward)
+    return _unary(x, np.abs(x.data), lambda g: g * sign)
 
 
 def powf(x, p):
     p = float(p)
-    out_data = np.power(x.data, p)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * p * np.power(x.data, p - 1.0))
-
-    return _from_op(out_data, (x,), backward)
+    return _unary(
+        x, np.power(x.data, p), lambda g: g * p * np.power(x.data, p - 1.0)
+    )
 
 
 def cos(x):
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, -g * np.sin(x.data))
-
-    return _from_op(np.cos(x.data), (x,), backward)
+    return _unary(x, np.cos(x.data), lambda g: -g * np.sin(x.data))
 
 
 def sin(x):
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * np.cos(x.data))
-
-    return _from_op(np.sin(x.data), (x,), backward)
+    return _unary(x, np.sin(x.data), lambda g: g * np.cos(x.data))
 
 
 def atan2(y, x):
@@ -426,22 +376,12 @@ def atan2(y, x):
 
 def sigmoid(x):
     out_data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * out_data * (1.0 - out_data))
-
-    return _from_op(out_data, (x,), backward)
+    return _unary(x, out_data, lambda g: g * out_data * (1.0 - out_data))
 
 
 def tanh(x):
     out_data = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * (1.0 - out_data * out_data))
-
-    return _from_op(out_data, (x,), backward)
+    return _unary(x, out_data, lambda g: g * (1.0 - out_data * out_data))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -452,12 +392,11 @@ def gelu(x):
     # exact erf form, not the tanh approximation
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
-    def backward(g):
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            _accumulate(x, g * (cdf + x.data * pdf))
+    def grad(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
+        return g * (cdf + x.data * pdf)
 
-    return _from_op(x.data * cdf, (x,), backward)
+    return _unary(x, x.data * cdf, grad)
 
 
 def prelu(x, alpha):
@@ -478,26 +417,13 @@ def prelu(x, alpha):
     return _from_op(out_data, (x, alpha), backward)
 
 
-def activation(x, kind, alpha=None):
-    """Dispatch over the fixed activation inventory."""
-    if kind == "prelu":
-        return prelu(x, alpha)
-    if kind == "gelu":
-        return gelu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
 
-def normalize(x, axes, gain, bias, eps=1e-5, channel_axis=1):
+def normalize(x, axes, gain, bias, eps=1e-5):
     """Normalize over `axes` to zero mean / unit variance, then apply a
-    per-channel affine (gain, bias indexed along channel_axis).
+    per-channel affine (gain, bias indexed along axis 1).
 
     Covers both layer norm over channels (axes=(1,)) and instance-style
     norm over spatial axes (axes=(2, 3)).
@@ -505,16 +431,16 @@ def normalize(x, axes, gain, bias, eps=1e-5, channel_axis=1):
     if eps <= 0:
         raise ValueError("eps must be positive")
     axes = tuple(int(a) for a in axes)
-    if gain.shape != (x.shape[channel_axis],) or bias.shape != gain.shape:
+    if gain.shape != (x.shape[1],) or bias.shape != gain.shape:
         raise ShapeError(
             f"affine shape {gain.shape} does not match channel extent "
-            f"{x.shape[channel_axis]}"
+            f"{x.shape[1]}"
         )
     mu = x.data.mean(axis=axes, keepdims=True)
     var = x.data.var(axis=axes, keepdims=True)
     std = np.sqrt(var + eps)
     y = (x.data - mu) / std
-    cview = (1,) * channel_axis + (-1,) + (1,) * (x.data.ndim - channel_axis - 1)
+    cview = (1, -1) + (1,) * (x.data.ndim - 2)
     gview = gain.data.reshape(cview)
     out_data = gview * y + bias.data.reshape(cview)
 
@@ -524,7 +450,7 @@ def normalize(x, axes, gain, bias, eps=1e-5, channel_axis=1):
             m1 = gh.mean(axis=axes, keepdims=True)
             m2 = (gh * y).mean(axis=axes, keepdims=True)
             _accumulate(x, (gh - m1 - y * m2) / std)
-        red = tuple(a for a in range(x.data.ndim) if a != channel_axis)
+        red = (0,) + tuple(range(2, x.data.ndim))
         if gain.requires_grad:
             _accumulate(gain, (g * y).sum(axis=red))
         if bias.requires_grad:
@@ -539,24 +465,16 @@ def normalize(x, axes, gain, bias, eps=1e-5, channel_axis=1):
 
 def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g.reshape(x.shape))
-
-    return _from_op(out_data, (x,), backward)
+    return _unary(x, x.data.reshape(shape), lambda g: g.reshape(x.shape))
 
 
 def transpose(x, perm):
     perm = tuple(int(p) for p in perm)
     inv = np.argsort(perm)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.transpose(g, inv))
-
-    return _from_op(np.ascontiguousarray(np.transpose(x.data, perm)), (x,), backward)
+    return _unary(
+        x, np.ascontiguousarray(np.transpose(x.data, perm)),
+        lambda g: np.transpose(g, inv),
+    )
 
 
 def crop(x, axis, start, stop):
@@ -565,13 +483,12 @@ def crop(x, axis, start, stop):
     sel[axis] = slice(start, stop)
     sel = tuple(sel)
 
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros(x.shape, dtype=x.dtype)
-            gx[sel] = g
-            _accumulate(x, gx)
+    def grad(g):
+        gx = np.zeros(x.shape, dtype=x.dtype)
+        gx[sel] = g
+        return gx
 
-    return _from_op(np.ascontiguousarray(x.data[sel]), (x,), backward)
+    return _unary(x, np.ascontiguousarray(x.data[sel]), grad)
 
 
 def concat(parts, axis=1):
@@ -624,16 +541,14 @@ def repeat_axis(x, axis, times):
     """Nearest-neighbour upsampling: repeat each slice `times` along `axis`."""
     axis = int(axis)
     times = int(times)
-    out_data = np.repeat(x.data, times, axis=axis)
 
-    def backward(g):
-        if x.requires_grad:
-            shp = list(x.shape)
-            shp[axis + 1:axis + 1] = [times]
-            shp[axis] = x.shape[axis]
-            _accumulate(x, g.reshape(shp).sum(axis=axis + 1))
+    def grad(g):
+        shp = list(x.shape)
+        shp[axis + 1:axis + 1] = [times]
+        shp[axis] = x.shape[axis]
+        return g.reshape(shp).sum(axis=axis + 1)
 
-    return _from_op(out_data, (x,), backward)
+    return _unary(x, np.repeat(x.data, times, axis=axis), grad)
 
 
 def stack(parts, axis=1):

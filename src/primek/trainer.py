@@ -343,10 +343,9 @@ def train_toy(model_cfg, spectro_cfg, task, steps, weights=None, mode="new",
             parts = " ".join(f"{k}={float(v.data):.6f}" for k, v in comps.items())
             log.write(f"step={step} {parts} total={float(total.data):.6f}\n")
             log.flush()
-            if checkpoint_every and step % checkpoint_every == 0:
+            if step == steps or (checkpoint_every and step % checkpoint_every == 0):
                 save_checkpoint(ckpt_path, model, step=step, seed=seed,
                                 config_hash=config_hash)
             if progress and step % 100 == 0:
                 progress(step, float(total.data))
-    save_checkpoint(ckpt_path, model, step=steps, seed=seed, config_hash=config_hash)
     return result

@@ -140,7 +140,7 @@ def test_model_macs_are_affine_in_frames():
     sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
                        segment_seconds=0.128)
     predicted = measure_model_macs(model, sp, 5, sp.bins)
-    actual = _model_macs_at(model, sp, 5, sp.bins)
+    actual = _model_macs_at(model, 5, sp.bins)
     assert predicted == actual
 
 

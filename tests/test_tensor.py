@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from primek import tensor as T
+from primek.conv import ConvSpec, conv1d
 from primek.tensor import (
     CorruptTensorError,
     ShapeError,
@@ -202,17 +203,6 @@ def test_gelu_matches_erf_reference():
     assert np.abs(got - want).max() < 1e-12
 
 
-def test_activation_dispatcher_matches_direct_calls():
-    x = Tensor(RNG.standard_normal((1, 3, 5)))
-    alpha = Tensor(np.full(3, 0.25))
-    assert np.array_equal(T.activation(x, "gelu").data, T.gelu(x).data)
-    assert np.array_equal(
-        T.activation(x, "prelu", alpha).data, T.prelu(x, alpha).data
-    )
-    with pytest.raises(ValueError):
-        T.activation(x, "softplus")
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -388,6 +378,27 @@ def test_mac_recorder_accumulates():
         T.record_macs(120)
         T.record_macs(5)
     assert rec.macs == 125
+
+
+def test_nested_recorders_each_receive_every_event():
+    spec = ConvSpec(2, 3, 3)
+    x = Tensor(RNG.standard_normal((1, 2, 8)))
+    w = Tensor(RNG.standard_normal((3, 2, 3)))
+    with T.count_macs() as outer:
+        with T.count_macs() as inner:
+            out = conv1d(x, spec, w)
+            Tensor(np.zeros(5))
+        # inner has exited: only outer sees these
+        T.record_macs(7)
+        Tensor(np.zeros(4))
+    assert inner.macs == 3 * 8 * 2 * 3  # C_out * T * C_in * K
+    assert inner.bytes_allocated == out.data.nbytes + 5 * 8
+    assert outer.macs == inner.macs + 7
+    assert outer.bytes_allocated == inner.bytes_allocated + 4 * 8
+    T.record_macs(11)
+    Tensor(np.zeros(3))
+    assert outer.macs == inner.macs + 7
+    assert outer.bytes_allocated == inner.bytes_allocated + 4 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from primek import trainer
 from primek.blocks import DenseBlockSpec, EnhancementModel, GpfcaConfig, ModelConfig
 from primek.losses import LossWeights
 from primek.spectral import SpectroConfig
@@ -258,6 +259,15 @@ def test_zero_steps_writes_initial_checkpoint_only(tmp_path):
     other = EnhancementModel(tiny_model_cfg(), seed=task.seed)
     meta = load_checkpoint(result.checkpoint, other)
     assert meta["step"] == "0"
+
+
+def test_each_checkpoint_step_is_written_once(tmp_path, monkeypatch):
+    saved = []
+    monkeypatch.setattr(trainer, "save_checkpoint",
+                        lambda path, model, step, **kw: saved.append(step))
+    train_toy(tiny_model_cfg(), TINY_SP, ToyTaskSpec(**TINY_TASK_KW), steps=4,
+              out_dir=str(tmp_path / "run"), checkpoint_every=2)
+    assert saved == [0, 2, 4]
 
 
 def test_short_training_is_deterministic_and_logged(tmp_path):
