@@ -293,8 +293,8 @@ class GatedUnit(Module):
         ]
 
     def forward(self, x):
-        parts = T.chunk4(x)
-        return T.concat_channels([g.forward(p) for g, p in zip(self.gates, parts)])
+        parts = T.chunk(x, 4)
+        return T.concat([g.forward(p) for g, p in zip(self.gates, parts)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +400,7 @@ class DenseBlock(Module):
         feats = [x]
         out = x
         for entry in self.layers:
-            inp = feats[0] if len(feats) == 1 else T.concat_channels(feats)
+            inp = feats[0] if len(feats) == 1 else T.concat(feats)
             if self.spec.variant == "DDB":
                 h = entry["conv"].forward(inp)
             else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, _from_op, _accumulate, record_macs
+from .tensor import ShapeError, _channel_sum, _channel_view, _op, record_macs
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class ConvSpec:
     @property
     def is_depthwise(self):
         return self.groups == self.in_channels == self.out_channels
-
-    @property
-    def is_pointwise(self):
-        return self.groups == 1 and all(k == 1 for k in _as_tuple(self.kernel))
 
 
 def _as_tuple(v):
@@ -136,8 +132,6 @@ def _conv(x, spec, weight, bias, axes):
         xp = np.pad(xp, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
     out = np.zeros((b, spec.out_channels) + out_sizes, dtype=x.dtype)
     depthwise = spec.is_depthwise
-    bcast = (1, -1) + (1,) * n  # one weight per channel against [B, C, ...]
-    sum_axes = (0,) + tuple(range(2, n + 2))
     groups = [
         (slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
         for gi in range(g)
@@ -154,7 +148,7 @@ def _conv(x, spec, weight, bias, axes):
     for tap, win in taps:
         seg = xp[win]
         if depthwise:
-            out += weight.data[(slice(None), 0) + tap].reshape(bcast) * seg
+            out += _channel_view(weight.data[(slice(None), 0) + tap], n + 2) * seg
         else:
             for ics, ocs in groups:
                 sflat = seg[:, ics].reshape(b, cin_g, flat)
@@ -162,41 +156,41 @@ def _conv(x, spec, weight, bias, axes):
                     weight.data[(ocs, slice(None)) + tap], sflat
                 ).reshape((b, cout_g) + out_sizes)
     if bias is not None:
-        out += bias.data.reshape(bcast)
+        out += _channel_view(bias.data, n + 2)
     record_macs(b * spec.out_channels * cin_g * math.prod(ks) * flat)
 
-    def backward(gout):
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for tap, win in taps:
-                dst = gxp[win]
-                if depthwise:
-                    dst += weight.data[(slice(None), 0) + tap].reshape(bcast) * gout
-                else:
-                    for ics, ocs in groups:
-                        gflat = gout[:, ocs].reshape(b, cout_g, flat)
-                        dst[:, ics] += np.matmul(
-                            weight.data[(ocs, slice(None)) + tap].T, gflat
-                        ).reshape((b, cin_g) + out_sizes)
-            if padded:
-                gxp = gxp[lead + tuple(slice(p, p + m) for p, m in zip(pads, sizes))]
-            _accumulate(x, gxp)
-        if weight.requires_grad:
-            gw = np.zeros(weight.shape, dtype=weight.dtype)
-            for tap, win in taps:
-                seg = xp[win]
-                if depthwise:
-                    gw[(slice(None), 0) + tap] = (gout * seg).sum(axis=sum_axes)
-                else:
-                    for ics, ocs in groups:
-                        gflat = gout[:, ocs].reshape(b, cout_g, flat)
-                        sflat = seg[:, ics].reshape(b, cin_g, flat)
-                        gw[(ocs, slice(None)) + tap] = np.matmul(
-                            gflat, sflat.transpose(0, 2, 1)
-                        ).sum(axis=0)
-            _accumulate(weight, gw)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, gout.sum(axis=sum_axes))
+    def grad_x(gout):
+        gxp = np.zeros_like(xp)
+        for tap, win in taps:
+            dst = gxp[win]
+            if depthwise:
+                dst += _channel_view(weight.data[(slice(None), 0) + tap], n + 2) * gout
+            else:
+                for ics, ocs in groups:
+                    gflat = gout[:, ocs].reshape(b, cout_g, flat)
+                    dst[:, ics] += np.matmul(
+                        weight.data[(ocs, slice(None)) + tap].T, gflat
+                    ).reshape((b, cin_g) + out_sizes)
+        if padded:
+            gxp = gxp[lead + tuple(slice(p, p + m) for p, m in zip(pads, sizes))]
+        return gxp
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _from_op(out, parents, backward)
+    def grad_w(gout):
+        gw = np.zeros(weight.shape, dtype=weight.dtype)
+        for tap, win in taps:
+            seg = xp[win]
+            if depthwise:
+                gw[(slice(None), 0) + tap] = _channel_sum(gout * seg)
+            else:
+                for ics, ocs in groups:
+                    gflat = gout[:, ocs].reshape(b, cout_g, flat)
+                    sflat = seg[:, ics].reshape(b, cin_g, flat)
+                    gw[(ocs, slice(None)) + tap] = np.matmul(
+                        gflat, sflat.transpose(0, 2, 1)
+                    ).sum(axis=0)
+        return gw
+
+    edges = [(x, grad_x), (weight, grad_w)]
+    if bias is not None:
+        edges.append((bias, _channel_sum))
+    return _op(out, *edges)

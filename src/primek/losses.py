@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .spectral import istft, stft_rect
+from .spectral import istft_rect, stft_rect
 from .tensor import ShapeError, Tensor
 
 TWO_PI = 2.0 * np.pi
@@ -111,7 +111,7 @@ def consistency_loss(est_spec, target_len=None):
     re = T.mul(est_spec.magnitude, T.cos(est_spec.phase))
     im = T.mul(est_spec.magnitude, T.sin(est_spec.phase))
     rect = T.stack([re, im], axis=1)
-    wave = istft(est_spec, target_len)
+    wave = istft_rect(rect, cfg, target_len)
     rect_rt = stft_rect(wave, cfg)
     if rect_rt.shape != rect.shape:
         rect_rt = T.crop(rect_rt, 3, 0, rect.shape[3])

@@ -17,7 +17,7 @@ import numpy as np
 from .tensor import (
     Tensor,
     ShapeError,
-    _unary,
+    _op,
     atan2,
     cos,
     mul,
@@ -94,9 +94,10 @@ class SpectroConfig:
         """Max relative deviation of the overlap-added squared window."""
         w2 = self.analysis_window() ** 2
         n_frames = 8 * (self.win_length // self.hop) + 8
-        total = np.zeros(self.win_length + (n_frames - 1) * self.hop)
-        for m in range(n_frames):
-            total[m * self.hop: m * self.hop + self.win_length] += w2
+        total = _overlap_add(
+            np.broadcast_to(w2, (n_frames, self.win_length)), self.hop,
+            self.win_length + (n_frames - 1) * self.hop,
+        )
         interior = total[self.win_length: -self.win_length]
         mean = interior.mean()
         return float(np.abs(interior - mean).max() / mean)
@@ -172,6 +173,24 @@ def _frame(xp, cfg, t_frames):
     return xp[:, idx]  # [B, T, win]
 
 
+def _overlap_add(frames, hop, length):
+    """Adjoint of framing: frames [..., T, win] placed every `hop` samples
+    and summed -> [..., length].
+
+    Each frame is cut into hop-long blocks and block j of every frame is
+    added in one step, last block first, so every sample sums its frames
+    in ascending frame order, as a loop over frames would.
+    """
+    t_frames, win = frames.shape[-2:]
+    n_blocks = -(-win // hop)
+    rows = max(t_frames + n_blocks - 1, -(-length // hop))
+    out = np.zeros(frames.shape[:-2] + (rows, hop), dtype=frames.dtype)
+    for j in reversed(range(n_blocks)):
+        w = min(hop, win - j * hop)
+        out[..., j: j + t_frames, :w] += frames[..., j * hop: j * hop + w]
+    return out.reshape(frames.shape[:-2] + (rows * hop,))[..., :length]
+
+
 def _rfft_bin_scale(fft_size):
     scale = np.full(fft_size // 2 + 1, 2.0)
     scale[0] = 1.0
@@ -205,12 +224,10 @@ def stft_rect(wave, cfg):
         h = h / _rfft_bin_scale(cfg.fft_size)
         frame_grad = cfg.fft_size * np.fft.irfft(h, n=cfg.fft_size, axis=-1)
         frame_grad = frame_grad[..., : cfg.win_length] * win
-        gpad = np.zeros_like(xp)
-        for m in range(t_frames):
-            gpad[:, m * cfg.hop: m * cfg.hop + cfg.win_length] += frame_grad[:, m]
+        gpad = _overlap_add(frame_grad, cfg.hop, xp.shape[1])
         return _reflect_fold(gpad, p, n) if p else gpad
 
-    return _unary(wave, out, grad)
+    return _op(out, (wave, grad))
 
 
 def istft_rect(rect, cfg, target_len):
@@ -229,16 +246,12 @@ def istft_rect(rect, cfg, target_len):
             f"requested {target_len} samples but only {full - p} reconstructible"
         )
 
-    wss = np.zeros(full)
-    for m in range(t_frames):
-        wss[m * hop: m * hop + wl] += win * win
+    wss = _overlap_add(np.broadcast_to(win * win, (t_frames, wl)), hop, full)
     wss = np.maximum(wss, 1e-12)
 
     z = rect.data[:, 0].transpose(0, 2, 1) + 1j * rect.data[:, 1].transpose(0, 2, 1)
     frames = np.fft.irfft(z, n=fft, axis=-1)[..., :wl] * win
-    y = np.zeros((b, full))
-    for m in range(t_frames):
-        y[:, m * hop: m * hop + wl] += frames[:, m]
+    y = _overlap_add(frames, hop, full)
     y /= wss
     out = np.ascontiguousarray(y[:, p: p + target_len])
 
@@ -246,8 +259,7 @@ def istft_rect(rect, cfg, target_len):
         gy = np.zeros((b, full))
         gy[:, p: p + target_len] = g
         gy /= wss
-        idx = np.arange(wl)[None, :] + hop * np.arange(t_frames)[:, None]
-        frame_grad = gy[:, idx] * win  # [B, T, win]
+        frame_grad = _frame(gy, cfg, t_frames) * win
         spec = np.fft.rfft(frame_grad, n=fft, axis=-1)
         scale = _rfft_bin_scale(fft) / fft
         gre = (spec.real * scale).transpose(0, 2, 1)
@@ -257,7 +269,7 @@ def istft_rect(rect, cfg, target_len):
             gim[:, -1] = 0.0
         return np.stack([gre, gim], axis=1)
 
-    return _unary(rect, out, grad)
+    return _op(out, (rect, grad))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_DTYPE = np.float64
 
@@ -210,100 +209,101 @@ def _accumulate(tensor, grad_arr):
         tensor.grad += grad_arr
 
 
-def _from_op(data, parents, backward_fn):
+def _op(data, *edges):
+    """Tape op computing `data` from the (parent, grad_fn) edges, where
+    grad_fn maps the output gradient to that parent's.
+
+    A backward is attached only when grad mode is on and some parent
+    requires a gradient; it runs the grad_fn of each such parent, in edge
+    order, and accumulates the result into that parent.
+    """
     out = Tensor(data, dtype=data.dtype if hasattr(data, "dtype") else None)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p, _ in edges):
+        def backward(g):
+            for p, grad_fn in edges:
+                if p.requires_grad:
+                    _accumulate(p, grad_fn(g))
+
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._parents = tuple(p for p, _ in edges)
+        out._backward_fn = backward
     return out
 
 
-def _unary(x, data, grad_fn):
-    """Tape op with the single parent x; grad_fn maps the output gradient
-    to x's. A backward is attached only when x requires a gradient."""
-    return _from_op(data, (x,), lambda g: _accumulate(x, grad_fn(g)))
+def _channel_view(v, ndim):
+    """Per-channel values v[c] shaped to broadcast along axis 1 of an
+    ndim-dimensional [B, C, ...] array."""
+    return v.reshape((1, -1) + (1,) * (ndim - 2))
+
+
+def _channel_sum(g):
+    """Adjoint of _channel_view: sum g [B, C, ...] to one value per channel."""
+    return g.sum(axis=(0,) + tuple(range(2, g.ndim)))
 
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 
-def _broadcast_kind(a, b):
-    """Classify the allowed shape pairing: equal, or trailing-singleton."""
-    if a.shape == b.shape:
-        return "equal"
-    if b.data.ndim == a.data.ndim and b.shape == a.shape[:-1] + (1,):
-        return "b_last1"
-    if a.data.ndim == b.data.ndim and a.shape == b.shape[:-1] + (1,):
-        return "a_last1"
-    raise ShapeError(
-        f"elementwise shapes {a.shape} and {b.shape} are neither equal nor "
-        "related by a trailing singleton axis"
-    )
+def _check_elementwise(a, b):
+    """Allow equal shapes, or one operand with a trailing singleton axis
+    where the other has any extent."""
+    if a.shape != b.shape and not (
+        a.data.ndim == b.data.ndim
+        and a.shape[:-1] == b.shape[:-1]
+        and 1 in (a.shape[-1], b.shape[-1])
+    ):
+        raise ShapeError(
+            f"elementwise shapes {a.shape} and {b.shape} are neither equal nor "
+            "related by a trailing singleton axis"
+        )
 
 
-def _reduce_last(grad):
-    return grad.sum(axis=-1, keepdims=True)
+def _fit(g, p):
+    """Sum g over the trailing axis that parent p was broadcast along."""
+    return g if g.shape == p.shape else g.sum(axis=-1, keepdims=True)
 
 
 def add(a, b):
-    kind = _broadcast_kind(a, b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _reduce_last(g) if kind == "a_last1" else g)
-        if b.requires_grad:
-            _accumulate(b, _reduce_last(g) if kind == "b_last1" else g)
-
-    return _from_op(out_data, (a, b), backward)
+    _check_elementwise(a, b)
+    return _op(
+        a.data + b.data, (a, lambda g: _fit(g, a)), (b, lambda g: _fit(g, b))
+    )
 
 
 def mul(a, b):
-    kind = _broadcast_kind(a, b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g * b.data
-            _accumulate(a, _reduce_last(ga) if kind == "a_last1" else ga)
-        if b.requires_grad:
-            gb = g * a.data
-            _accumulate(b, _reduce_last(gb) if kind == "b_last1" else gb)
-
-    return _from_op(out_data, (a, b), backward)
+    _check_elementwise(a, b)
+    return _op(
+        a.data * b.data,
+        (a, lambda g: _fit(g * b.data, a)),
+        (b, lambda g: _fit(g * a.data, b)),
+    )
 
 
 def neg(a):
-    return _unary(a, -a.data, lambda g: -g)
+    return _op(-a.data, (a, lambda g: -g))
 
 
 def add_scalar(a, c):
     c = float(c)
-    return _unary(a, a.data + c, lambda g: g)
+    return _op(a.data + c, (a, lambda g: g))
 
 
 def mul_scalar(a, c):
     c = float(c)
-    return _unary(a, a.data * c, lambda g: g * c)
+    return _op(a.data * c, (a, lambda g: g * c))
 
 
 def scale_channels(x, s):
     """Multiply x[:, c, ...] by the per-channel scalar s[c]."""
     if s.data.ndim != 1 or x.data.ndim < 2 or x.shape[1] != s.shape[0]:
         raise ShapeError(f"scale_channels: x {x.shape} vs s {s.shape}")
-    view = s.data.reshape((1, -1) + (1,) * (x.data.ndim - 2))
-    out_data = x.data * view
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * view)
-        if s.requires_grad:
-            axes = (0,) + tuple(range(2, x.data.ndim))
-            _accumulate(s, (g * x.data).sum(axis=axes))
-
-    return _from_op(out_data, (x, s), backward)
+    view = _channel_view(s.data, x.data.ndim)
+    return _op(
+        x.data * view,
+        (x, lambda g: g * view),
+        (s, lambda g: _channel_sum(g * x.data)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +311,15 @@ def scale_channels(x, s):
 # ---------------------------------------------------------------------------
 
 def sum_all(x):
-    return _unary(
-        x, x.data.sum(), lambda g: np.broadcast_to(g, x.shape).astype(x.dtype)
+    return _op(
+        x.data.sum(), (x, lambda g: np.broadcast_to(g, x.shape).astype(x.dtype))
     )
 
 
 def mean_all(x):
     n = x.data.size
-    return _unary(
-        x, x.data.mean(), lambda g: np.full(x.shape, float(g) / n, dtype=x.dtype)
+    return _op(
+        x.data.mean(), (x, lambda g: np.full(x.shape, float(g) / n, dtype=x.dtype))
     )
 
 
@@ -331,7 +331,7 @@ def mean_axis(x, axis, keepdims=True):
         gg = g if keepdims else np.expand_dims(g, axis)
         return np.broadcast_to(gg / n, x.shape).astype(x.dtype)
 
-    return _unary(x, x.data.mean(axis=axis, keepdims=keepdims), grad)
+    return _op(x.data.mean(axis=axis, keepdims=keepdims), (x, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +340,22 @@ def mean_axis(x, axis, keepdims=True):
 
 def absolute(x):
     sign = np.sign(x.data)
-    return _unary(x, np.abs(x.data), lambda g: g * sign)
+    return _op(np.abs(x.data), (x, lambda g: g * sign))
 
 
 def powf(x, p):
     p = float(p)
-    return _unary(
-        x, np.power(x.data, p), lambda g: g * p * np.power(x.data, p - 1.0)
+    return _op(
+        np.power(x.data, p), (x, lambda g: g * p * np.power(x.data, p - 1.0))
     )
 
 
 def cos(x):
-    return _unary(x, np.cos(x.data), lambda g: -g * np.sin(x.data))
+    return _op(np.cos(x.data), (x, lambda g: -g * np.sin(x.data)))
 
 
 def sin(x):
-    return _unary(x, np.sin(x.data), lambda g: g * np.cos(x.data))
+    return _op(np.sin(x.data), (x, lambda g: g * np.cos(x.data)))
 
 
 def atan2(y, x):
@@ -364,57 +364,34 @@ def atan2(y, x):
     denom = y.data * y.data + x.data * x.data
     # at the origin both numerators are 0: a 1 there gives the subgradient 0
     denom = np.where(denom == 0, 1.0, denom)
-
-    def backward(g):
-        if y.requires_grad:
-            _accumulate(y, g * x.data / denom)
-        if x.requires_grad:
-            _accumulate(x, -g * y.data / denom)
-
-    return _from_op(np.arctan2(y.data, x.data), (y, x), backward)
+    return _op(
+        np.arctan2(y.data, x.data),
+        (y, lambda g: g * x.data / denom),
+        (x, lambda g: -g * y.data / denom),
+    )
 
 
 def sigmoid(x):
     out_data = 1.0 / (1.0 + np.exp(-x.data))
-    return _unary(x, out_data, lambda g: g * out_data * (1.0 - out_data))
+    return _op(out_data, (x, lambda g: g * out_data * (1.0 - out_data)))
 
 
 def tanh(x):
     out_data = np.tanh(x.data)
-    return _unary(x, out_data, lambda g: g * (1.0 - out_data * out_data))
-
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def gelu(x):
-    # exact erf form, not the tanh approximation
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-
-    def grad(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return g * (cdf + x.data * pdf)
-
-    return _unary(x, x.data * cdf, grad)
+    return _op(out_data, (x, lambda g: g * (1.0 - out_data * out_data)))
 
 
 def prelu(x, alpha):
     """PReLU with a learnable slope per channel (axis 1)."""
     if alpha.data.ndim != 1 or x.data.ndim < 2 or x.shape[1] != alpha.shape[0]:
         raise ShapeError(f"prelu: x {x.shape} vs alpha {alpha.shape}")
-    view = alpha.data.reshape((1, -1) + (1,) * (x.data.ndim - 2))
+    view = _channel_view(alpha.data, x.data.ndim)
     pos = x.data > 0
-    out_data = np.where(pos, x.data, view * x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.where(pos, g, g * view))
-        if alpha.requires_grad:
-            axes = (0,) + tuple(range(2, x.data.ndim))
-            _accumulate(alpha, np.where(pos, 0.0, g * x.data).sum(axis=axes))
-
-    return _from_op(out_data, (x, alpha), backward)
+    return _op(
+        np.where(pos, x.data, view * x.data),
+        (x, lambda g: np.where(pos, g, g * view)),
+        (alpha, lambda g: _channel_sum(np.where(pos, 0.0, g * x.data))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +417,20 @@ def normalize(x, axes, gain, bias, eps=1e-5):
     var = x.data.var(axis=axes, keepdims=True)
     std = np.sqrt(var + eps)
     y = (x.data - mu) / std
-    cview = (1, -1) + (1,) * (x.data.ndim - 2)
-    gview = gain.data.reshape(cview)
-    out_data = gview * y + bias.data.reshape(cview)
+    gview = _channel_view(gain.data, x.data.ndim)
 
-    def backward(g):
-        if x.requires_grad:
-            gh = g * gview
-            m1 = gh.mean(axis=axes, keepdims=True)
-            m2 = (gh * y).mean(axis=axes, keepdims=True)
-            _accumulate(x, (gh - m1 - y * m2) / std)
-        red = (0,) + tuple(range(2, x.data.ndim))
-        if gain.requires_grad:
-            _accumulate(gain, (g * y).sum(axis=red))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=red))
+    def grad_x(g):
+        gh = g * gview
+        m1 = gh.mean(axis=axes, keepdims=True)
+        m2 = (gh * y).mean(axis=axes, keepdims=True)
+        return (gh - m1 - y * m2) / std
 
-    return _from_op(out_data, (x, gain, bias), backward)
+    return _op(
+        gview * y + _channel_view(bias.data, x.data.ndim),
+        (x, grad_x),
+        (gain, lambda g: _channel_sum(g * y)),
+        (bias, _channel_sum),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +439,15 @@ def normalize(x, axes, gain, bias, eps=1e-5):
 
 def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
-    return _unary(x, x.data.reshape(shape), lambda g: g.reshape(x.shape))
+    return _op(x.data.reshape(shape), (x, lambda g: g.reshape(x.shape)))
 
 
 def transpose(x, perm):
     perm = tuple(int(p) for p in perm)
     inv = np.argsort(perm)
-    return _unary(
-        x, np.ascontiguousarray(np.transpose(x.data, perm)),
-        lambda g: np.transpose(g, inv),
+    return _op(
+        np.ascontiguousarray(np.transpose(x.data, perm)),
+        (x, lambda g: np.transpose(g, inv)),
     )
 
 
@@ -488,7 +462,7 @@ def crop(x, axis, start, stop):
         gx[sel] = g
         return gx
 
-    return _unary(x, np.ascontiguousarray(x.data[sel]), grad)
+    return _op(np.ascontiguousarray(x.data[sel]), (x, grad))
 
 
 def concat(parts, axis=1):
@@ -506,14 +480,15 @@ def concat(parts, axis=1):
     out_data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sel = [slice(None)] * g.ndim
-                sel[axis] = slice(int(lo), int(hi))
-                _accumulate(p, g[tuple(sel)])
+    def take(lo, hi):
+        sel = [slice(None)] * out_data.ndim
+        sel[axis] = slice(int(lo), int(hi))
+        sel = tuple(sel)
+        return lambda g: g[sel]
 
-    return _from_op(out_data, tuple(parts), backward)
+    return _op(out_data, *(
+        (p, take(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
+    ))
 
 
 def chunk(x, n, axis=1):
@@ -524,17 +499,6 @@ def chunk(x, n, axis=1):
         )
     step = extent // n
     return [crop(x, axis, i * step, (i + 1) * step) for i in range(n)]
-
-
-def chunk4(x):
-    """Split the channel axis into four contiguous quarters."""
-    if x.shape[1] % 4 != 0:
-        raise ShapeError(f"chunk4 needs channels divisible by 4, got C={x.shape[1]}")
-    return tuple(chunk(x, 4, axis=1))
-
-
-def concat_channels(parts):
-    return concat(parts, axis=1)
 
 
 def repeat_axis(x, axis, times):
@@ -548,7 +512,7 @@ def repeat_axis(x, axis, times):
         shp[axis] = x.shape[axis]
         return g.reshape(shp).sum(axis=axis + 1)
 
-    return _unary(x, np.repeat(x.data, times, axis=axis), grad)
+    return _op(np.repeat(x.data, times, axis=axis), (x, grad))
 
 
 def stack(parts, axis=1):

@@ -11,6 +11,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 import primek.cli as cli
 from primek import blocks as B
@@ -237,6 +238,7 @@ def test_08_analysis_synthesis_fidelity(capsys):
                   f"> 60 dB over 10 random 2s signals ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_09_end_to_end_denoising_gain(capsys, tmp_path):
     start = time.time()
     cfg = C.tiny_run_config()

@@ -195,7 +195,7 @@ def test_gpgu_equals_stitched_fusion_gates():
     unit = GatedUnit(RNG, 8, KernelGroup())
     x = Tensor(RNG.standard_normal((1, 8, 40)))
     got = unit.forward(x).data
-    parts = T.chunk4(x)
+    parts = T.chunk(x, 4)
     want = np.concatenate(
         [g.forward(p).data for g, p in zip(unit.gates, parts)], axis=1
     )
@@ -354,7 +354,7 @@ def test_dsddb_matches_composed_convolutions():
     h = x
     feats = [x]
     for entry in blk.layers:
-        inp = feats[0] if len(feats) == 1 else T.concat_channels(feats)
+        inp = feats[0] if len(feats) == 1 else T.concat(feats)
         pre = entry["pointwise"].forward(entry["depthwise"].forward(inp))
         h = T.prelu(entry["norm"].forward(pre), entry["alpha"])
         feats.append(h)

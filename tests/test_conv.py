@@ -297,7 +297,6 @@ def test_convspec_rejects_bad_configurations():
 
 def test_convspec_classification():
     assert ConvSpec(8, 8, 3, groups=8).is_depthwise
-    assert ConvSpec(8, 4, 1).is_pointwise
     assert not ConvSpec(8, 8, 3).is_depthwise
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import tempfile
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from primek import tensor as T
-from primek.conv import ConvSpec, conv1d
+from primek.conv import ConvSpec, conv1d, conv2d
 from primek.tensor import (
     CorruptTensorError,
     ShapeError,
@@ -100,6 +101,51 @@ def test_no_grad_context_detaches():
     assert y._backward_fn is None and y._parents == ()
 
 
+# Every multi-input op, with the shapes of its parents.
+MULTI_INPUT_OPS = {
+    "add": (T.add, [(2, 3, 4), (2, 3, 1)]),
+    "mul": (T.mul, [(2, 3, 1), (2, 3, 4)]),
+    "scale_channels": (T.scale_channels, [(2, 3, 4), (3,)]),
+    "atan2": (T.atan2, [(2, 3, 4), (2, 3, 4)]),
+    "prelu": (T.prelu, [(2, 3, 4), (3,)]),
+    "normalize": (lambda x, g, b: T.normalize(x, (2,), g, b),
+                  [(2, 3, 4), (3,), (3,)]),
+    "concat": (lambda *parts: T.concat(parts), [(2, 1, 4), (2, 3, 4), (2, 2, 4)]),
+    "conv1d": (lambda x, w, b: conv1d(x, ConvSpec(3, 4, 3), w, b),
+               [(2, 3, 8), (4, 3, 3), (4,)]),
+    "conv2d": (lambda x, w, b: conv2d(x, ConvSpec(3, 3, (3, 3), groups=3), w, b),
+               [(2, 3, 5, 6), (3, 1, 3, 3), (3,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_INPUT_OPS))
+def test_only_parents_requiring_grad_receive_one(name):
+    op, shapes = MULTI_INPUT_OPS[name]
+    rng = np.random.default_rng(7)
+    values = [rng.standard_normal(s) + 0.5 for s in shapes]
+
+    def run(wants):
+        parents = [Tensor(v, requires_grad=w) for v, w in zip(values, wants)]
+        out = op(*parents)
+        if any(wants):
+            proj = np.random.default_rng(8).standard_normal(out.shape)
+            T.sum_all(T.mul(out, Tensor(proj))).backward()
+        else:
+            assert out._backward_fn is None and not out.requires_grad
+        return [p.grad for p in parents]
+
+    full = run([True] * len(shapes))
+    for wants in itertools.product([False, True], repeat=len(shapes)):
+        for want, got, ref in zip(wants, run(wants), full):
+            if want:
+                assert np.array_equal(got, ref)
+            else:
+                assert got is None
+    with T.no_grad():
+        out = op(*[Tensor(v, requires_grad=True) for v in values])
+    assert out._backward_fn is None and out._parents == ()
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops: trivial identities and finite differences
 # ---------------------------------------------------------------------------
@@ -144,7 +190,6 @@ def test_general_broadcasting_rejected():
         T.sin,
         T.sigmoid,
         T.tanh,
-        T.gelu,
         lambda x: T.powf(x, 0.3),
         T.sum_all,
         T.mean_all,
@@ -192,15 +237,6 @@ def test_prelu_negative_side_scales_by_alpha():
     out = T.prelu(x, alpha).data
     assert np.allclose(out[0, 0], -0.5)
     assert np.allclose(out[0, 1], -1.0)
-
-
-def test_gelu_matches_erf_reference():
-    from scipy.special import erf
-
-    grid = np.linspace(-4, 4, 81)
-    want = 0.5 * grid * (1 + erf(grid / np.sqrt(2)))
-    got = T.gelu(Tensor(grid)).data
-    assert np.abs(got - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +302,32 @@ def test_normalize_gradients_match_finite_differences(axes):
 # shape ops
 # ---------------------------------------------------------------------------
 
+# channel quarters, as GatedUnit splits and joins them: chunk(x, 4), concat
+
 def test_chunk4_concat_roundtrip():
     for c in (4, 8, 12):
         x = Tensor(RNG.standard_normal((2, c, 6)), requires_grad=True)
-        back = T.concat_channels(T.chunk4(x))
+        back = T.concat(T.chunk(x, 4))
         assert np.array_equal(back.data, x.data)
 
 
 def test_chunk4_groups_channels_in_order():
     x = Tensor(np.arange(8, dtype=float).reshape(1, 8, 1))
-    parts = T.chunk4(x)
+    parts = T.chunk(x, 4)
     assert [p.data.reshape(-1).tolist() for p in parts] == [
         [0, 1], [2, 3], [4, 5], [6, 7]
     ]
 
 
 def test_chunk4_rejects_indivisible_channels():
-    with pytest.raises(ShapeError, match="C=6"):
-        T.chunk4(Tensor(np.zeros((1, 6, 3))))
+    with pytest.raises(ShapeError, match="extent 6"):
+        T.chunk(Tensor(np.zeros((1, 6, 3))), 4)
 
 
 def test_concat_channels_known_values():
     a = Tensor(np.full((1, 1, 3), 1.0))
     b = Tensor(np.full((1, 1, 3), 2.0))
-    out = T.concat_channels([a, b])
+    out = T.concat([a, b])
     assert out.shape == (1, 2, 3)
     assert np.array_equal(out.data[0, 0], np.ones(3))
     assert np.array_equal(out.data[0, 1], np.full(3, 2.0))
@@ -300,7 +338,7 @@ def test_concat_gradient_routes_by_index():
         Tensor(RNG.standard_normal((1, c, 4)), requires_grad=True)
         for c in (2, 3, 1)
     ]
-    out = T.concat_channels(parts)
+    out = T.concat(parts)
     w = RNG.standard_normal(out.shape)
     T.sum_all(T.mul(out, Tensor(w))).backward()
     offset = 0
@@ -311,7 +349,7 @@ def test_concat_gradient_routes_by_index():
 
 def test_concat_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
-        T.concat_channels([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 4)))])
+        T.concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 4)))])
 
 
 def test_transpose_reshape_crop_roundtrip_gradients():
