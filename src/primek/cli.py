@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -274,7 +276,7 @@ def cmd_train(cfg, args):
         weights=cfg.weights, mode=cfg.loss_mode, opt_cfg=cfg.opt,
         out_dir=args.out_dir, batch_size=cfg.batch_size, seed=args.seed,
         checkpoint_every=max(1, steps // 4), progress=progress,
-        config_hash=C.config_hash(cfg),
+        config_hash=C.model_hash(cfg),
     )
     _, (eval_clean, eval_noisy) = TR.make_dataset(cfg.task)
     snr_est, snr_noisy = TR.evaluate(result.model, cfg.spectro,
@@ -290,11 +292,12 @@ def cmd_enhance(cfg, args):
     model = B.EnhancementModel(cfg.model, seed=args.seed)
     if args.checkpoint is not None:
         TR.load_checkpoint(args.checkpoint, model,
-                           expect_hash=C.config_hash(cfg))
+                           expect_hash=C.model_hash(cfg))
     elif not cfg.model.identity_mode:
         print("enhance: no checkpoint given and the model is not configured "
               "as identity", file=sys.stderr)
         return EXIT_CONFIG
+    start = time.perf_counter()
     wave, rate = S.wav_read(args.input)
     if rate != cfg.spectro.sample_rate:
         print(f"enhance: {args.input} is {rate} Hz but the configuration "
@@ -305,8 +308,18 @@ def cmd_enhance(cfg, args):
     if out.shape != wave.shape:
         raise ShapeError(f"enhance changed sample count: {wave.shape} -> {out.shape}")
     S.wav_write(args.output, out, rate)
-    print(f"wrote {args.output} ({out.shape[-1]} samples at {rate} Hz)")
+    n = out.shape[-1]
+    rtf = (time.perf_counter() - start) / (n / rate)
+    print(f"wrote {args.output} ({n} samples at {rate} Hz, "
+          f"RTF {rtf:.3f}, peak RSS {_peak_rss_mb():.1f} MB)")
     return EXIT_OK
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process; ru_maxrss is in KiB on
+    Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 # ---------------------------------------------------------------------------

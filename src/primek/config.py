@@ -118,8 +118,22 @@ def dump(cfg):
     return "\n".join(f"{k} = {_fmt(v)}" for k, v in sorted(pairs.items())) + "\n"
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def config_hash(cfg):
-    return hashlib.sha256(dump(cfg).encode()).hexdigest()[:16]
+    return _digest(dump(cfg))
+
+
+def model_hash(cfg):
+    """Hash of the model.*, dense.*, gpfca.* and spectro.* keys, the ones a
+    checkpoint's weights depend on. Checkpoints record it."""
+    lines = dump(cfg).splitlines(keepends=True)
+    return _digest("".join(
+        line for line in lines
+        if line.split(".")[0] in ("model", "dense", "gpfca", "spectro")
+    ))
 
 
 def _parse_value(raw, like):

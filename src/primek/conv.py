@@ -1,6 +1,6 @@
 """Grouped, dilated 1-D and 2-D convolutions on the autodiff tensor.
 
-Both ranks run one tap loop over the trailing spatial axes. Forward
+Both ranks read one strided window view of the padded input. Forward
 values follow the plain nested-loop definition of convolution
 (cross-correlation convention, zero "same" padding for odd kernels);
 the test suite holds them to an independently coded naive oracle.
@@ -8,7 +8,6 @@ the test suite holds them to an independently coded naive oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +86,31 @@ def conv2d(x, spec, weight, bias=None):
     return _conv(x, spec, weight, bias, "TF")
 
 
+def _windows(a, ks, strides, dils, writeable=False):
+    """View [B, C, *out, *k] of a [B, C, *in], never copied: per spatial axis,
+    window o at tap i reads a[o * s + i * d], for each o whose window fits."""
+    out = tuple((m - d * (k - 1) - 1) // s + 1
+                for m, k, s, d in zip(a.shape[2:], ks, strides, dils))
+    return np.lib.stride_tricks.as_strided(
+        a, a.shape[:2] + out + ks,
+        a.strides[:2] + tuple(t * s for t, s in zip(a.strides[2:], strides))
+        + tuple(t * d for t, d in zip(a.strides[2:], dils)), writeable=writeable)
+
+
+def _depthwise(v, w):
+    """Contract windows v [B, C, *out, *k] with per-channel kernels w [C, *k]:
+    one matmul over the first kernel axis for each tap of the others."""
+    shape = (w.shape[0],) + (1,) * (w.ndim - 2) + (w.shape[1], 1)
+    parts = (np.matmul(v[(Ellipsis, slice(None)) + tap],
+                       w[(slice(None), slice(None)) + tap].reshape(shape))[..., 0]
+             for tap in np.ndindex(w.shape[2:]))
+    out = next(parts)
+    for part in parts:
+        out += part
+        del part  # freed before the next matmul allocates, as the tap loop did
+    return out
+
+
 def _conv(x, spec, weight, bias, axes):
     """Convolution over the trailing spatial axes named by `axes`.
 
@@ -130,26 +154,17 @@ def _conv(x, spec, weight, bias, axes):
     xp = x.data
     if padded:
         xp = np.pad(xp, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
-    out = np.zeros((b, spec.out_channels) + out_sizes, dtype=x.dtype)
-    depthwise = spec.is_depthwise
+    view = _windows(xp, ks, strides, dils)  # [B, C, *out, *k]
     groups = [
         (slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
         for gi in range(g)
     ]
-    # every kernel tap with the strided window of the padded input it reads
-    taps = [
-        (tap, lead + tuple(
-            slice(i * d, i * d + s * (o - 1) + 1, s)
-            for i, d, s, o in zip(tap, dils, strides, out_sizes)
-        ))
-        for tap in itertools.product(*map(range, ks))
-    ]
-
-    for tap, win in taps:
-        seg = xp[win]
-        if depthwise:
-            out += _channel_view(weight.data[(slice(None), 0) + tap], n + 2) * seg
-        else:
+    if spec.is_depthwise:
+        out = _depthwise(view, weight.data[:, 0])
+    else:
+        out = np.zeros((b, spec.out_channels) + out_sizes, dtype=x.dtype)
+        for tap in np.ndindex(*ks):
+            seg = view[(Ellipsis,) + tap]
             for ics, ocs in groups:
                 sflat = seg[:, ics].reshape(b, cin_g, flat)
                 out[:, ocs] += np.matmul(
@@ -160,12 +175,21 @@ def _conv(x, spec, weight, bias, axes):
     record_macs(b * spec.out_channels * cin_g * math.prod(ks) * flat)
 
     def grad_x(gout):
-        gxp = np.zeros_like(xp)
-        for tap, win in taps:
-            dst = gxp[win]
-            if depthwise:
-                dst += _channel_view(weight.data[(slice(None), 0) + tap], n + 2) * gout
-            else:
+        if spec.is_depthwise:
+            # adjoint: gout zero-stuffed by the stride and padded by the dilated reach,
+            # windowed at stride 1 against the flipped kernel; the kernel is copied
+            # because matmul takes a slow path on reversed strides
+            reach = [d * (k - 1) for k, d in zip(ks, dils)]
+            gp = np.zeros(xp.shape[:2] + tuple(np.add(xp.shape[2:], reach)), gout.dtype)
+            gp[lead + tuple(slice(r, r + s * o, s)
+                            for r, s, o in zip(reach, strides, out_sizes))] = gout
+            flipped = np.flip(weight.data[:, 0], tuple(range(1, n + 1))).copy()
+            gxp = _depthwise(_windows(gp, ks, (1,) * n, dils), flipped)
+        else:
+            gxp = np.zeros_like(xp)
+            gview = _windows(gxp, ks, strides, dils, writeable=True)
+            for tap in np.ndindex(*ks):
+                dst = gview[(Ellipsis,) + tap]
                 for ics, ocs in groups:
                     gflat = gout[:, ocs].reshape(b, cout_g, flat)
                     dst[:, ics] += np.matmul(
@@ -176,18 +200,18 @@ def _conv(x, spec, weight, bias, axes):
         return gxp
 
     def grad_w(gout):
+        if spec.is_depthwise:
+            o, k = list(range(2, n + 2)), list(range(n + 2, 2 * n + 2))
+            return np.einsum(gout, [0, 1, *o], view, [0, 1, *o, *k], [1, *k])[:, None]
         gw = np.zeros(weight.shape, dtype=weight.dtype)
-        for tap, win in taps:
-            seg = xp[win]
-            if depthwise:
-                gw[(slice(None), 0) + tap] = _channel_sum(gout * seg)
-            else:
-                for ics, ocs in groups:
-                    gflat = gout[:, ocs].reshape(b, cout_g, flat)
-                    sflat = seg[:, ics].reshape(b, cin_g, flat)
-                    gw[(ocs, slice(None)) + tap] = np.matmul(
-                        gflat, sflat.transpose(0, 2, 1)
-                    ).sum(axis=0)
+        for tap in np.ndindex(*ks):
+            seg = view[(Ellipsis,) + tap]
+            for ics, ocs in groups:
+                gflat = gout[:, ocs].reshape(b, cout_g, flat)
+                sflat = seg[:, ics].reshape(b, cin_g, flat)
+                gw[(ocs, slice(None)) + tap] = np.matmul(
+                    gflat, sflat.transpose(0, 2, 1)
+                ).sum(axis=0)
         return gw
 
     edges = [(x, grad_x), (weight, grad_w)]

@@ -184,7 +184,9 @@ def si_snr(est, ref):
 def save_checkpoint(path, model, step, seed, config_hash=""):
     """Directory checkpoint: manifest + one tensor container per parameter.
 
-    Written to a temp directory first and swapped in atomically.
+    `config_hash` is the `config.model_hash` of the config the model was
+    built under; an empty one is accepted by any load. Written to a temp
+    directory first and swapped in atomically.
     """
     path = str(path)
     parent = os.path.dirname(os.path.abspath(path)) or "."

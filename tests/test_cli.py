@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,9 @@ def test_enhance_identity_mode_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", cfg, "enhance", src, str(dst))
     assert code == 0
     assert f"wrote {dst}" in out
+    speed = re.search(r"RTF ([0-9.]+), peak RSS ([0-9.]+) MB\)", out)
+    assert speed is not None, out
+    assert float(speed[1]) > 0 and float(speed[2]) > 0
     a, _ = wav_read(src)
     b, _ = wav_read(str(dst))
     err = np.sum((a.data - b.data) ** 2)
@@ -277,5 +281,36 @@ def test_enhance_rejects_checkpoint_of_another_config(tmp_path, capsys):
                                       "spectro.hop": "64"})
     code, _, err = run(capsys, "--config", other, "enhance", src,
                        str(tmp_path / "out.wav"), "--checkpoint", ckpt)
+    assert code == 2
+    assert "hash" in err
+
+
+@pytest.fixture(scope="module")
+def task_only_checkpoint(tmp_path_factory):
+    """A 2-step checkpoint of `tiny` with only task.* keys changed."""
+    tmp = tmp_path_factory.mktemp("task_only")
+    cfg = write_config(tmp, **{"task.train_size": "4", "task.eval_size": "2"})
+    assert cli.main(["--config", cfg, "train", "--steps", "2",
+                     "--out-dir", str(tmp / "run")]) == 0
+    return str(tmp / "run" / "checkpoint")
+
+
+def test_enhance_accepts_checkpoint_differing_only_outside_model(
+        task_only_checkpoint, tmp_path, capsys):
+    src = make_wav(tmp_path / "in.wav")
+    code, out, err = run(capsys, "--config", "tiny", "enhance", src,
+                         str(tmp_path / "out.wav"), "--checkpoint",
+                         task_only_checkpoint)
+    assert code == 0, err
+    assert "wrote" in out
+
+
+def test_enhance_rejects_checkpoint_with_another_model_key(
+        task_only_checkpoint, tmp_path, capsys):
+    cfg = write_config(tmp_path, **{"model.mask_max": "3.0"})
+    src = make_wav(tmp_path / "in.wav")
+    code, _, err = run(capsys, "--config", cfg, "enhance", src,
+                       str(tmp_path / "out.wav"), "--checkpoint",
+                       task_only_checkpoint)
     assert code == 2
     assert "hash" in err

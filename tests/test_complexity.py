@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from primek.blocks import DenseBlock, DenseBlockSpec, EnhancementModel, GpfcaConfig, ModelConfig
+from primek.blocks import (
+    DenseBlock,
+    DenseBlockSpec,
+    EnhancementModel,
+    GpfcaConfig,
+    ModelConfig,
+    enhance,
+)
 from primek.complexity import (
     ComplexityReport,
     dense_block_entry,
@@ -18,7 +25,9 @@ from primek.complexity import (
     params_dsddb,
     _model_macs_at,
 )
+from primek.config import default_run_config
 from primek.spectral import SpectroConfig
+from primek.tensor import Tensor, count_macs, no_grad
 
 RNG = np.random.default_rng(21)
 
@@ -133,6 +142,19 @@ def tiny_model():
         ts_block_count=1,
     )
     return EnhancementModel(cfg, seed=0), cfg
+
+
+def test_default_enhance_counts_are_pinned():
+    """A seeded `default` enhance of 0.1 s. The MAC count is exact; the
+    allocated tensor bytes may fall in a later change, never rise."""
+    cfg = default_run_config()
+    model = EnhancementModel(cfg.model, seed=0)
+    n = cfg.spectro.sample_rate // 10
+    wave = Tensor(0.3 * np.random.default_rng(0).standard_normal((1, n)))
+    with no_grad(), count_macs() as rec:
+        enhance(wave, model, cfg.spectro)
+    assert rec.macs == 2_591_611_072
+    assert rec.bytes_allocated <= 501_296_248
 
 
 def test_model_macs_are_affine_in_frames():

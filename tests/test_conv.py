@@ -276,6 +276,84 @@ def test_conv2d_gradients_match_finite_differences(spec, shape):
             assert abs(gflat[i] - fd) / (1 + max(abs(gflat[i]), abs(fd))) < 1e-7
 
 
+SWEEP_KINDS = ("depthwise", "grouped", "full", "pointwise")
+
+
+def sweep_case(rng, i):
+    """Spec number i of the seeded sweep, with its input shape. Rank, kind,
+    padding and striding cycle through every combination; kernel sizes,
+    strides, dilations, channels and extents are drawn from rng."""
+    n = 1 + i % 2
+    kind = SWEEP_KINDS[(i // 2) % 4]
+    padding = ("same", "valid")[(i // 8) % 2]
+    strided = (i // 16) % 2 == 1
+
+    def draw(choices):
+        return tuple(int(rng.choice(choices)) for _ in range(n))
+
+    if kind == "pointwise":
+        ks = (1,) * n
+    else:
+        top = 5 if n == 1 else 3
+        ks = draw([k for k in range(1, top + 1) if k % 2 or padding == "valid"])
+        if max(ks) == 1:
+            ks = (3,) + ks[1:]
+    strides = draw([1, 2, 3]) if strided else (1,) * n
+    dils = draw([1, 2, 3])
+    if kind == "depthwise":
+        groups = cin = cout = int(rng.integers(1, 4))
+    elif kind == "grouped":
+        groups = int(rng.integers(2, 4))
+        cin, cout = groups * int(rng.integers(1, 3)), 2 * groups
+    else:
+        groups, cin, cout = 1, int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    least = [1 if padding == "same" else d * (k - 1) + 1 for k, d in zip(ks, dils)]
+    sizes = tuple(int(rng.integers(m, m + 5)) for m in least)
+
+    def per_axis(v):
+        return v if n == 2 else v[0]
+
+    spec = ConvSpec(cin, cout, per_axis(ks), stride=per_axis(strides),
+                    dilation=per_axis(dils), groups=groups, padding=padding)
+    return spec, (int(rng.integers(1, 3)), cin) + sizes
+
+
+def test_seeded_sweep_matches_oracle_and_adjoints():
+    """100 seeded specs: the forward matches the naive oracle, and both
+    gradients satisfy their adjoint identities with the oracle as the
+    forward, <conv(dx, w), g> = <dx, grad_x(g)> and
+    <conv(x, dw), g> = <dw, grad_w(g)>, to 1e-12 relative."""
+    rng = np.random.default_rng(2027)
+    for i in range(100):
+        spec, shape = sweep_case(rng, i)
+        conv, naive = (conv2d, naive_conv2d) if len(shape) == 4 else (conv1d, naive_conv1d)
+        ks = spec.kernel if isinstance(spec.kernel, tuple) else (spec.kernel,)
+
+        def oracle(x, w, b=None):
+            return naive(x, w, b, spec.stride, spec.dilation, spec.groups,
+                         spec.padding == "same")
+
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(
+            (spec.out_channels, spec.in_channels // spec.groups) + ks),
+            requires_grad=True)
+        b = Tensor(rng.standard_normal(spec.out_channels))
+        out = conv(x, spec, w, b)
+        want = oracle(x.data, w.data, b.data)
+        assert out.shape == want.shape, (i, spec)
+        assert np.abs(out.data - want).max() < 1e-12, (i, spec)
+
+        g = rng.standard_normal(out.shape)
+        T.sum_all(T.mul(out, Tensor(g))).backward()
+        dx = rng.standard_normal(x.shape)
+        dw = rng.standard_normal(w.shape)
+        for fwd, d, grad in ((oracle(dx, w.data), dx, x.grad),
+                             (oracle(x.data, dw), dw, w.grad)):
+            lhs, rhs = np.vdot(fwd, g), np.vdot(d, grad)
+            scale = np.vdot(np.abs(fwd), np.abs(g)) + np.vdot(np.abs(d), np.abs(grad))
+            assert abs(lhs - rhs) <= 1e-12 * scale, (i, spec)
+
+
 # ---------------------------------------------------------------------------
 # spec validation and MAC instrumentation
 # ---------------------------------------------------------------------------
