@@ -52,7 +52,6 @@ class GpfcaConfig:
     kernel_group: KernelGroup = field(default_factory=KernelGroup)
     ffn_expansion: int = 12
     attn_expansion: int = 2
-    shared_dwc: bool = False
     norm_eps: float = 1e-5
 
     def __post_init__(self):
@@ -94,15 +93,11 @@ class ModelConfig:
     channels: int = 64
     dense: DenseBlockSpec = field(default_factory=DenseBlockSpec)
     gpfca: GpfcaConfig = field(default_factory=GpfcaConfig)
-    ts_block_count: int = 2
-    ts_count_unit: str = "pair"  # "pair" = time+freq GPFCA, or "instance"
+    ts_block_count: int = 2  # time+freq GPFCA pairs
     mask_max: float = 2.0
-    phase_input_skip: bool = True
     identity_mode: bool = False
 
     def __post_init__(self):
-        if self.ts_count_unit not in ("pair", "instance"):
-            raise ValueError(f"unknown ts_count_unit {self.ts_count_unit!r}")
         if self.gpfca.channels != self.channels:
             raise ValueError(
                 f"gpfca channels {self.gpfca.channels} != model channels "
@@ -113,12 +108,6 @@ class ModelConfig:
                 f"dense block channels {self.dense.channels} != model channels "
                 f"{self.channels}"
             )
-
-    @property
-    def ts_instances(self):
-        if self.ts_count_unit == "pair":
-            return 2 * self.ts_block_count
-        return self.ts_block_count
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +228,8 @@ class ChannelAttention(Module):
 def dfg_forward(x, k, dwc_gate_w, dwc_value_w, pwc_w,
                 dwc_gate_b=None, dwc_value_b=None, pwc_b=None):
     """Gate a depthwise-filtered branch with a pointwise-projected one:
-    PWC(DWC_k(x)) ⊙ DWC_k(x) on [B, Cg, T].
-
-    The two depthwise applications are independent layers by default;
-    pass the same weights twice for the shared reading.
+    PWC(DWC_k(x)) ⊙ DWC_k(x) on [B, Cg, T], the two DWC_k with their own
+    weights.
     """
     if k % 2 == 0:
         raise ShapeError(f"even kernel {k} is not allowed (same padding)")
@@ -255,20 +242,15 @@ def dfg_forward(x, k, dwc_gate_w, dwc_value_w, pwc_w,
 
 
 class FusionGate(Module):
-    def __init__(self, rng, channels, kernel, shared_dwc=False):
+    def __init__(self, rng, channels, kernel):
         super().__init__()
         self.kernel = kernel
-        self.shared_dwc = shared_dwc
         self.dwc_gate = self.child(
             "dwc_gate", Conv(rng, ConvSpec(channels, channels, kernel, groups=channels))
         )
-        if not shared_dwc:
-            self.dwc_value = self.child(
-                "dwc_value",
-                Conv(rng, ConvSpec(channels, channels, kernel, groups=channels)),
-            )
-        else:
-            self.dwc_value = self.dwc_gate
+        self.dwc_value = self.child(
+            "dwc_value", Conv(rng, ConvSpec(channels, channels, kernel, groups=channels))
+        )
         self.pwc = self.child("pwc", Conv(rng, ConvSpec(channels, channels, 1)))
 
     def forward(self, x):
@@ -282,13 +264,13 @@ class FusionGate(Module):
 class GatedUnit(Module):
     """Channel-quartered multi-scale gating: one fusion gate per quarter."""
 
-    def __init__(self, rng, channels, kernel_group, shared_dwc=False):
+    def __init__(self, rng, channels, kernel_group):
         super().__init__()
         if channels % 4 != 0:
             raise ShapeError(f"channels {channels} not divisible by 4")
         self.kernel_group = kernel_group
         self.gates = [
-            self.child(f"gate{i}", FusionGate(rng, channels // 4, k, shared_dwc))
+            self.child(f"gate{i}", FusionGate(rng, channels // 4, k))
             for i, k in enumerate(kernel_group.sizes)
         ]
 
@@ -309,9 +291,7 @@ class FeedForward(Module):
         c = cfg.channels
         hidden = cfg.ffn_expansion * c
         self.expand = self.child("expand", Conv(rng, ConvSpec(c, hidden, 1)))
-        self.gpgu = self.child(
-            "gpgu", GatedUnit(rng, hidden, cfg.kernel_group, cfg.shared_dwc)
-        )
+        self.gpgu = self.child("gpgu", GatedUnit(rng, hidden, cfg.kernel_group))
         self.fuse = self.child("fuse", Conv(rng, ConvSpec(hidden, c, 1)))
 
     def forward(self, x):
@@ -327,7 +307,6 @@ class GpfcaBlock(Module):
         super().__init__()
         c = cfg.channels
         wide = cfg.attn_expansion * c
-        self.cfg = cfg
         self.norm1 = self.child("norm1", Norm(c, axes=(1,), eps=cfg.norm_eps))
         self.inflate = self.child("inflate", Conv(rng, ConvSpec(c, wide, 1)))
         self.dwc = self.child(
@@ -355,8 +334,30 @@ class GpfcaBlock(Module):
 
 
 # ---------------------------------------------------------------------------
-# dilated dense blocks
+# 2-D conv stages and dilated dense blocks
 # ---------------------------------------------------------------------------
+
+class ConvStage(Module):
+    """Convs applied in order, then instance norm over (T, F) and a
+    per-channel PReLU. The convs carry no bias: the norm's mean subtraction
+    would cancel it.
+    """
+
+    def __init__(self, rng, specs):
+        super().__init__()
+        self.convs = [
+            self.child(f"conv{i}", Conv(rng, spec, bias=False))
+            for i, spec in enumerate(specs)
+        ]
+        c = specs[-1].out_channels
+        self.norm = self.child("norm", Norm(c, axes=(2, 3)))
+        self.alpha = self.param("alpha", Tensor(np.full(c, 0.25), requires_grad=True))
+
+    def forward(self, x):
+        for conv in self.convs:
+            x = conv.forward(x)
+        return T.prelu(self.norm.forward(x), self.alpha)
+
 
 class DenseBlock(Module):
     """Densely connected dilated 2-D stack; layer i sees the block input
@@ -373,42 +374,18 @@ class DenseBlock(Module):
         self.layers = []
         for i, d in enumerate(spec.dilations, start=1):
             cin = i * c
-            entry = {}
             if spec.variant == "DDB":
-                entry["conv"] = self.child(
-                    f"layer{i}.conv",
-                    Conv(rng, ConvSpec(cin, c, (k, k), dilation=(d, d))),
-                )
+                specs = [ConvSpec(cin, c, (k, k), dilation=(d, d))]
             else:
-                entry["depthwise"] = self.child(
-                    f"layer{i}.depthwise",
-                    Conv(
-                        rng,
-                        ConvSpec(cin, cin, (k, k), dilation=(d, d), groups=cin),
-                        bias=False,
-                    ),
-                )
-                entry["pointwise"] = self.child(
-                    f"layer{i}.pointwise", Conv(rng, ConvSpec(cin, c, (1, 1)))
-                )
-            entry["norm"] = self.child(f"layer{i}.norm", Norm(c, axes=(2, 3)))
-            entry["alpha"] = self.param(f"layer{i}.alpha", Tensor(
-                np.full(c, 0.25), requires_grad=True))
-            self.layers.append(entry)
+                specs = [ConvSpec(cin, cin, (k, k), dilation=(d, d), groups=cin),
+                         ConvSpec(cin, c, (1, 1))]
+            self.layers.append(self.child(f"layer{i}", ConvStage(rng, specs)))
 
     def forward(self, x):
         feats = [x]
-        out = x
-        for entry in self.layers:
-            inp = feats[0] if len(feats) == 1 else T.concat(feats)
-            if self.spec.variant == "DDB":
-                h = entry["conv"].forward(inp)
-            else:
-                h = entry["pointwise"].forward(entry["depthwise"].forward(inp))
-            h = entry["norm"].forward(h)
-            out = T.prelu(h, entry["alpha"])
-            feats.append(out)
-        return out
+        for layer in self.layers:
+            feats.append(layer.forward(T.concat(feats) if len(feats) > 1 else x))
+        return feats[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +398,14 @@ class Encoder(Module):
     def __init__(self, rng, cfg):
         super().__init__()
         c = cfg.channels
-        self.stem = self.child("stem", Conv(rng, ConvSpec(2, c, (1, 1))))
-        self.stem_norm = self.child("stem_norm", Norm(c, axes=(2, 3)))
-        self.stem_alpha = self.param("stem_alpha", Tensor(np.full(c, 0.25), requires_grad=True))
+        self.stem = self.child("stem", ConvStage(rng, [ConvSpec(2, c, (1, 1))]))
         self.dense = self.child("dense", DenseBlock(rng, cfg.dense))
         self.down = self.child(
-            "down", Conv(rng, ConvSpec(c, c, (3, 3), stride=(1, 2)))
+            "down", ConvStage(rng, [ConvSpec(c, c, (3, 3), stride=(1, 2))])
         )
-        self.down_norm = self.child("down_norm", Norm(c, axes=(2, 3)))
-        self.down_alpha = self.param("down_alpha", Tensor(np.full(c, 0.25), requires_grad=True))
 
     def forward(self, x):
-        h = T.prelu(self.stem_norm.forward(self.stem.forward(x)), self.stem_alpha)
-        h = self.dense.forward(h)
-        return T.prelu(self.down_norm.forward(self.down.forward(h)), self.down_alpha)
+        return self.down.forward(self.dense.forward(self.stem.forward(x)))
 
 
 class _DecoderCore(Module):
@@ -442,16 +413,14 @@ class _DecoderCore(Module):
         super().__init__()
         c = cfg.channels
         self.dense = self.child("dense", DenseBlock(rng, cfg.dense))
-        self.conv = self.child("conv", Conv(rng, ConvSpec(c, c, (3, 3))))
-        self.norm = self.child("norm", Norm(c, axes=(2, 3)))
-        self.alpha = self.param("alpha", Tensor(np.full(c, 0.25), requires_grad=True))
+        self.stage = self.child("stage", ConvStage(rng, [ConvSpec(c, c, (3, 3))]))
 
     def forward(self, h, f_target):
         h = self.dense.forward(h)
         h = T.repeat_axis(h, axis=3, times=2)  # undo the stride-2 downsampling
         if h.shape[3] != f_target:
             h = T.crop(h, axis=3, start=0, stop=f_target)
-        return T.prelu(self.norm.forward(self.conv.forward(h)), self.alpha)
+        return self.stage.forward(h)
 
 
 class MaskDecoder(Module):
@@ -472,13 +441,12 @@ class MaskDecoder(Module):
 class PhaseDecoder(Module):
     """Pseudo real/imaginary component pair combined by atan2.
 
-    With phase_input_skip the pair is offset by the noisy unit phasor with
-    a learnable gain, so the untrained head reproduces the input phase.
+    The pair is offset by the noisy unit phasor with a learnable gain, so
+    the untrained head reproduces the input phase.
     """
 
     def __init__(self, rng, cfg):
         super().__init__()
-        self.cfg = cfg
         self.core = self.child("core", _DecoderCore(rng, cfg))
         self.head_real = self.child(
             "head_real", Conv(rng, ConvSpec(cfg.channels, 1, (1, 1)))
@@ -486,19 +454,15 @@ class PhaseDecoder(Module):
         self.head_imag = self.child(
             "head_imag", Conv(rng, ConvSpec(cfg.channels, 1, (1, 1)))
         )
-        if cfg.phase_input_skip:
-            self.head_real.weight.data[:] = 0.0
-            self.head_imag.weight.data[:] = 0.0
-            self.skip_gain = self.param("skip_gain", _ones(1))
+        self.head_real.weight.data[:] = 0.0
+        self.head_imag.weight.data[:] = 0.0
+        self.skip_gain = self.param("skip_gain", _ones(1))
 
     def forward(self, h, noisy_phase_bft):
         h = self.core.forward(h, noisy_phase_bft.shape[1])
-        re = self.head_real.forward(h)
-        im = self.head_imag.forward(h)
-        if self.cfg.phase_input_skip:
-            ph = _to_b1tf(noisy_phase_bft)
-            re = T.add(re, T.scale_channels(T.cos(ph), self.skip_gain))
-            im = T.add(im, T.scale_channels(T.sin(ph), self.skip_gain))
+        ph = _to_b1tf(noisy_phase_bft)
+        re = T.add(self.head_real.forward(h), T.scale_channels(T.cos(ph), self.skip_gain))
+        im = T.add(self.head_imag.forward(h), T.scale_channels(T.sin(ph), self.skip_gain))
         phase = T.atan2(im, re)
         phase.data[phase.data == -np.pi] = np.pi  # keep range (-pi, pi]
         return _to_bft(phase)
@@ -524,7 +488,7 @@ class EnhancementModel(Module):
         self.cfg = cfg
         self.encoder = self.child("encoder", Encoder(rng, cfg))
         self.ts_blocks = []
-        for i in range(cfg.ts_instances):
+        for i in range(2 * cfg.ts_block_count):
             axis = "time" if i % 2 == 0 else "freq"
             blk = self.child(f"ts{i}_{axis}", GpfcaBlock(rng, cfg.gpfca))
             self.ts_blocks.append((axis, blk))

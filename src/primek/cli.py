@@ -109,7 +109,8 @@ def _fd_max_rel_err(forward, tensors, rng, coords_per_tensor=4, h=1e-6):
             fd = (fp - fm) / (2 * h)
             an = grads[name].reshape(-1)[idx]
             # 1 + max(...) keeps finite-difference roundoff on true-zero
-            # gradients (e.g. a bias swallowed by a following norm) benign
+            # gradients (e.g. weights behind a zero-initialised residual
+            # scale) benign
             err = abs(an - fd) / (1.0 + max(abs(an), abs(fd)))
             worst = max(worst, err)
     return worst
@@ -123,13 +124,13 @@ def _block_cases(cfg, rng):
     g = cfg.model.gpfca
     small_gpfca = B.GpfcaConfig(
         channels=c, kernel_group=g.kernel_group, ffn_expansion=2,
-        attn_expansion=g.attn_expansion, shared_dwc=g.shared_dwc,
+        attn_expansion=g.attn_expansion,
     )
     dense = B.DenseBlockSpec(depth=2, channels=c, dilations=(1, 2),
                              variant=cfg.model.dense.variant)
     model_cfg = B.ModelConfig(
         channels=c, dense=dense, gpfca=small_gpfca, ts_block_count=1,
-        mask_max=cfg.model.mask_max, phase_input_skip=cfg.model.phase_input_skip,
+        mask_max=cfg.model.mask_max,
     )
 
     def seq_case(name, module, length=t_len):

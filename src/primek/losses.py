@@ -1,8 +1,7 @@
 """Training objectives: magnitude, phase (anti-wrapped), complex, time,
 and spectral-consistency losses with configurable weights.
 
-The metric-discriminator term of the weighted sum is carried as a slot so
-the sum keeps its full shape, but its weight is pinned to zero here.
+The paper's metric-discriminator term is out of scope and has no weight.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class LossWeights:
-    metric: float = 0.0   # discriminator term: out of scope, always 0
     magnitude: float = 0.9
     phase: float = 0.3
     complex: float = 0.1
@@ -28,14 +26,12 @@ class LossWeights:
     consistency: float = 0.1
 
     def __post_init__(self):
-        vals = (self.metric, self.magnitude, self.phase, self.complex,
-                self.time, self.consistency)
+        vals = (self.magnitude, self.phase, self.complex, self.time,
+                self.consistency)
         if any(v < 0 for v in vals):
             raise ValueError("loss weights must be nonnegative")
         if all(v == 0 for v in vals):
             raise ValueError("at least one loss weight must be nonzero")
-        if self.metric != 0.0:
-            raise ValueError("the metric loss is stubbed out; its weight must be 0")
 
 
 def _check_same_shape(a, b, what):

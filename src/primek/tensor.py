@@ -129,9 +129,6 @@ class Tensor:
             )
         return self
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- autograd -----------------------------------------------------------
 
     def backward(self):
@@ -154,32 +151,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, other)
-
-    def __radd__(self, other):
-        return add_scalar(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, other)
-
-    def __rmul__(self, other):
-        return mul_scalar(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, neg(other))
-        return add_scalar(self, -other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _toposort(root):
@@ -284,11 +255,6 @@ def neg(a):
     return _op(-a.data, (a, lambda g: -g))
 
 
-def add_scalar(a, c):
-    c = float(c)
-    return _op(a.data + c, (a, lambda g: g))
-
-
 def mul_scalar(a, c):
     c = float(c)
     return _op(a.data * c, (a, lambda g: g * c))
@@ -374,11 +340,6 @@ def atan2(y, x):
 def sigmoid(x):
     out_data = 1.0 / (1.0 + np.exp(-x.data))
     return _op(out_data, (x, lambda g: g * out_data * (1.0 - out_data)))
-
-
-def tanh(x):
-    out_data = np.tanh(x.data)
-    return _op(out_data, (x, lambda g: g * (1.0 - out_data * out_data)))
 
 
 def prelu(x, alpha):

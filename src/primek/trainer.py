@@ -8,7 +8,7 @@ at a random SNR. Everything is reproducible from the seed alone.
 from __future__ import annotations
 
 import os
-import tempfile
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,16 +181,26 @@ def si_snr(est, ref):
 # checkpointing
 # ---------------------------------------------------------------------------
 
+def _swap_dirs(path):
+    """The temporary and the previous directory of checkpoint `path`."""
+    parent, name = os.path.split(os.path.abspath(path))
+    return (os.path.join(parent, f".ckpt-{name}.tmp"),
+            os.path.join(parent, f".ckpt-{name}.old"))
+
+
 def save_checkpoint(path, model, step, seed, config_hash=""):
     """Directory checkpoint: manifest + one tensor container per parameter.
 
     `config_hash` is the `config.model_hash` of the config the model was
     built under; an empty one is accepted by any load. Written to a temp
-    directory first and swapped in atomically.
+    directory first and swapped in by two renames; the previous checkpoint
+    is kept until the new one is in place, and `load_checkpoint` falls back
+    to it if a save is interrupted between the renames.
     """
     path = str(path)
-    parent = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = tempfile.mkdtemp(prefix=".ckpt-", dir=parent)
+    tmp, old = _swap_dirs(path)
+    shutil.rmtree(tmp, ignore_errors=True)  # left by an interrupted save
+    os.mkdir(tmp)
     params = model.named_params()
     lines = [f"config_hash = {config_hash}", f"step = {step}", f"seed = {seed}"]
     for i, (name, p) in enumerate(sorted(params.items())):
@@ -200,18 +210,18 @@ def save_checkpoint(path, model, step, seed, config_hash=""):
     with open(os.path.join(tmp, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if os.path.isdir(path):
-        old = tmp + ".old"
+        shutil.rmtree(old, ignore_errors=True)
         os.rename(path, old)
-        os.rename(tmp, path)
-        import shutil
-
-        shutil.rmtree(old)
-    else:
-        os.rename(tmp, path)
+    os.rename(tmp, path)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(path, model, expect_hash=None):
-    manifest = os.path.join(str(path), "manifest.txt")
+    path = str(path)
+    old = _swap_dirs(path)[1]
+    if not os.path.exists(path) and os.path.isdir(old):
+        path = old  # a save was interrupted between its two renames
+    manifest = os.path.join(path, "manifest.txt")
     if not os.path.isfile(manifest):
         raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
     meta = {}
@@ -241,7 +251,7 @@ def load_checkpoint(path, model, expect_hash=None):
             f"unexpected {sorted(extra)[:3]}"
         )
     for name, fname in tensors.items():
-        loaded = load_tensor(os.path.join(str(path), fname))
+        loaded = load_tensor(os.path.join(path, fname))
         if loaded.shape != params[name].shape:
             raise ValueError(
                 f"parameter {name}: checkpoint shape {loaded.shape} != model "

@@ -316,10 +316,9 @@ def test_ddb_depth_one_equals_hand_composition():
     blk = DenseBlock(np.random.default_rng(2), spec)
     x = Tensor(RNG.standard_normal((1, 4, 6, 5)))
     got = blk.forward(x).data
-    entry = blk.layers[0]
-    want = T.prelu(
-        entry["norm"].forward(entry["conv"].forward(x)), entry["alpha"]
-    ).data
+    layer = blk.layers[0]
+    (conv,) = layer.convs
+    want = T.prelu(layer.norm.forward(conv.forward(x)), layer.alpha).data
     assert np.array_equal(got, want)
 
 
@@ -336,13 +335,13 @@ def test_ddb_zero_weights_propagate_zeros():
 def test_dsddb_depth_one_delta_plus_identity_is_identity_before_norm():
     spec = DenseBlockSpec(depth=1, channels=3, dilations=(1,), variant="DSDDB")
     blk = DenseBlock(np.random.default_rng(2), spec)
-    entry = blk.layers[0]
-    entry["depthwise"].weight.data[:] = 0.0
-    entry["depthwise"].weight.data[:, 0, 1, 1] = 1.0
-    entry["pointwise"].weight.data[:] = np.eye(3).reshape(3, 3, 1, 1)
-    entry["pointwise"].bias.data[:] = 0.0
+    depthwise, pointwise = blk.layers[0].convs
+    depthwise.weight.data[:] = 0.0
+    depthwise.weight.data[:, 0, 1, 1] = 1.0
+    pointwise.weight.data[:] = np.eye(3).reshape(3, 3, 1, 1)
+    assert depthwise.bias is None and pointwise.bias is None
     x = Tensor(RNG.standard_normal((1, 3, 6, 5)))
-    pre = entry["pointwise"].forward(entry["depthwise"].forward(x))
+    pre = pointwise.forward(depthwise.forward(x))
     assert np.abs(pre.data - x.data).max() < 1e-14
 
 
@@ -353,10 +352,11 @@ def test_dsddb_matches_composed_convolutions():
     got = blk.forward(x).data
     h = x
     feats = [x]
-    for entry in blk.layers:
+    for layer in blk.layers:
         inp = feats[0] if len(feats) == 1 else T.concat(feats)
-        pre = entry["pointwise"].forward(entry["depthwise"].forward(inp))
-        h = T.prelu(entry["norm"].forward(pre), entry["alpha"])
+        depthwise, pointwise = layer.convs
+        pre = pointwise.forward(depthwise.forward(inp))
+        h = T.prelu(layer.norm.forward(pre), layer.alpha)
         feats.append(h)
     assert np.array_equal(got, h.data)
 
@@ -486,14 +486,14 @@ def test_zero_mask_silences_output():
     assert np.sum(out.data ** 2) < 1e-8 * np.sum(x ** 2)
 
 
-def test_ts_count_unit_readings():
-    pair = tiny_model_cfg()
-    assert pair.ts_instances == 2
-    inst = ModelConfig(
+def test_ts_block_count_counts_time_freq_pairs():
+    one = EnhancementModel(tiny_model_cfg(), seed=0)
+    assert [axis for axis, _ in one.ts_blocks] == ["time", "freq"]
+    two = ModelConfig(
         channels=8,
         dense=DenseBlockSpec(depth=2, channels=8, dilations=(1, 2)),
         gpfca=GpfcaConfig(channels=8, ffn_expansion=2),
-        ts_block_count=2, ts_count_unit="instance",
+        ts_block_count=2,
     )
-    assert inst.ts_instances == 2
-    assert len(EnhancementModel(inst, seed=0).ts_blocks) == 2
+    assert [axis for axis, _ in EnhancementModel(two, seed=0).ts_blocks] == [
+        "time", "freq", "time", "freq"]

@@ -58,8 +58,8 @@ def test_unknown_preset_is_exit_2(capsys):
 
 
 @pytest.mark.parametrize("preset, digest", [
-    ("default", "00396aafd01b5cea"),
-    ("tiny", "d5f85168c9ced196"),
+    ("default", "f35937ffeadbb933"),
+    ("tiny", "108546446af8b904"),
 ])
 def test_preset_dump_roundtrips_and_hash_is_pinned(preset, digest):
     cfg = C.load(preset)

@@ -25,7 +25,7 @@ from primek.complexity import (
     params_dsddb,
     _model_macs_at,
 )
-from primek.config import default_run_config
+from primek.config import default_run_config, tiny_run_config
 from primek.spectral import SpectroConfig
 from primek.tensor import Tensor, count_macs, no_grad
 
@@ -155,6 +155,15 @@ def test_default_enhance_counts_are_pinned():
         enhance(wave, model, cfg.spectro)
     assert rec.macs == 2_591_611_072
     assert rec.bytes_allocated <= 501_296_248
+
+
+@pytest.mark.parametrize("make_cfg,count", [
+    (default_run_config, 1_424_324),
+    (tiny_run_config, 5_908),
+], ids=["default", "tiny"])
+def test_param_counts_are_pinned(make_cfg, count):
+    """Exact. A later change may lower a pin, never raise it."""
+    assert EnhancementModel(make_cfg().model, seed=0).param_count() == count
 
 
 def test_model_macs_are_affine_in_frames():

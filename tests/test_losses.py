@@ -38,10 +38,7 @@ def test_weights_validation():
     with pytest.raises(ValueError):
         LossWeights(magnitude=-1.0)
     with pytest.raises(ValueError):
-        LossWeights(metric=0, magnitude=0, phase=0, complex=0, time=0,
-                    consistency=0)
-    with pytest.raises(ValueError):
-        LossWeights(metric=0.5)  # discriminator term is out of scope
+        LossWeights(magnitude=0, phase=0, complex=0, time=0, consistency=0)
 
 
 # ---------------------------------------------------------------------------

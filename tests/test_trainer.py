@@ -3,6 +3,7 @@ import pytest
 
 from primek import trainer
 from primek.blocks import DenseBlockSpec, EnhancementModel, GpfcaConfig, ModelConfig
+from primek.config import tiny_run_config
 from primek.losses import LossWeights
 from primek.spectral import SpectroConfig
 from primek.tensor import Tensor
@@ -234,6 +235,33 @@ def test_missing_checkpoint_raises(tmp_path):
         load_checkpoint(tmp_path / "nope", EnhancementModel(tiny_model_cfg()))
 
 
+def test_save_interrupted_between_renames_keeps_previous_checkpoint(
+        tmp_path, monkeypatch):
+    model = EnhancementModel(tiny_model_cfg(), seed=1)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, model, step=1, seed=1)
+    rename = trainer.os.rename
+    calls = []
+
+    def crash_on_second(src, dst):
+        calls.append(src)
+        if len(calls) == 2:
+            raise OSError("interrupted")
+        rename(src, dst)
+
+    monkeypatch.setattr(trainer.os, "rename", crash_on_second)
+    with pytest.raises(OSError, match="interrupted"):
+        save_checkpoint(path, model, step=2, seed=1)
+    monkeypatch.setattr(trainer.os, "rename", rename)
+    assert not path.exists()
+    fresh = EnhancementModel(tiny_model_cfg(), seed=2)
+    assert load_checkpoint(path, fresh)["step"] == "1"
+
+    save_checkpoint(path, model, step=3, seed=1)
+    assert load_checkpoint(path, fresh)["step"] == "3"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -286,3 +314,28 @@ def test_short_training_is_deterministic_and_logged(tmp_path):
     assert len(lines) == 4
     assert lines[0].startswith("step=1 ")
     assert "total=" in lines[0] and "mag=" in lines[0]
+
+
+def test_every_parameter_gets_a_gradient_from_the_loss():
+    """No dead parameters, such as a conv bias that an instance norm
+    cancels: rounding noise in their gradient would become full-size
+    AdamW steps. Every parameter is randomised, so no zero-initialised
+    head or residual scale hides a branch."""
+    cfg = tiny_run_config()
+    model = EnhancementModel(cfg.model, seed=0)
+    rng = np.random.default_rng(0)
+    for _, p in sorted(model.named_params().items()):
+        if p.data.ndim >= 2:
+            fan_in = int(np.prod(p.shape[1:]))
+            p.data[...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), p.shape)
+        else:
+            p.data[...] = p.data + rng.normal(0.0, 0.1, p.shape)
+    (clean, noisy), _ = make_dataset(ToyTaskSpec(**TINY_TASK_KW))
+    total, _ = step_losses(model, cfg.spectro, clean[:2], noisy[:2],
+                           cfg.weights, mode="new")
+    total.backward()
+    peak = {name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+            for name, p in model.named_params().items()}
+    largest = max(peak.values())
+    dead = sorted(name for name, g in peak.items() if g < 1e-8 * largest)
+    assert dead == []
