@@ -1,9 +1,19 @@
 """Grouped, dilated 1-D and 2-D convolutions on the autodiff tensor.
 
-Both ranks read one strided window view of the padded input. Forward
-values follow the plain nested-loop definition of convolution
-(cross-correlation convention, zero "same" padding for odd kernels);
-the test suite holds them to an independently coded naive oracle.
+Both ranks run through one routine, by conv kind:
+- 1-D depthwise (the prime-kernel convs of the gated units): a product with
+  a banded matrix of the kernel over tiles of outputs, one matmul call (two
+  with a partial last tile), `_banded`;
+- 2-D depthwise: one strided window view of the padded input, contracted by
+  one matmul per frequency tap, `_depthwise`;
+- pointwise, grouped and full: one GEMM per kernel tap and group, over a
+  strided slice of the padded input (for a stride-1 pointwise conv, the
+  input itself).
+Input gradients are the adjoints of these. Depthwise weight gradients are
+one einsum over the window view, which is built only where it is read.
+Forward values follow the plain nested-loop definition of convolution
+(cross-correlation convention, zero "same" padding for odd kernels); the
+test suite holds them to an independently coded naive oracle.
 """
 
 from __future__ import annotations
@@ -56,6 +66,10 @@ class ConvSpec:
         return self.groups == self.in_channels == self.out_channels
 
 
+# outputs per band tile of a 1-D depthwise conv (see _banded)
+_TILE = 16
+
+
 def _as_tuple(v):
     return v if isinstance(v, tuple) else (v,)
 
@@ -86,7 +100,7 @@ def conv2d(x, spec, weight, bias=None):
     return _conv(x, spec, weight, bias, "TF")
 
 
-def _windows(a, ks, strides, dils, writeable=False):
+def _windows(a, ks, strides, dils):
     """View [B, C, *out, *k] of a [B, C, *in], never copied: per spatial axis,
     window o at tap i reads a[o * s + i * d], for each o whose window fits."""
     out = tuple((m - d * (k - 1) - 1) // s + 1
@@ -94,7 +108,14 @@ def _windows(a, ks, strides, dils, writeable=False):
     return np.lib.stride_tricks.as_strided(
         a, a.shape[:2] + out + ks,
         a.strides[:2] + tuple(t * s for t, s in zip(a.strides[2:], strides))
-        + tuple(t * d for t, d in zip(a.strides[2:], dils)), writeable=writeable)
+        + tuple(t * d for t, d in zip(a.strides[2:], dils)), writeable=False)
+
+
+def _pad(a, pads):
+    """a [B, C, *in] with pads[i] zeros on both sides of spatial axis i."""
+    if not any(pads):
+        return a
+    return np.pad(a, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
 
 
 def _depthwise(v, w):
@@ -108,6 +129,48 @@ def _depthwise(v, w):
     for part in parts:
         out += part
         del part  # freed before the next matmul allocates, as the tap loop did
+    return out
+
+
+def _banded(a, w, s, d, pad, t_out):
+    """1-D depthwise conv of a [B, C, T] with kernels w [C, K] at stride s and
+    dilation d, reading a after `pad` zeros and followed by zeros:
+    out[b, c, o] = sum_k w[c, k] * a[b, c, o*s + k*d - pad] for o < t_out.
+
+    A GEMM with a banded (Toeplitz) matrix of the kernel, after Chellapilla,
+    Puri & Simard (2006), over tiles of _TILE outputs: tile j reads the
+    span = (_TILE - 1)*s + d*(K - 1) + 1 inputs from j*_TILE*s on, and is
+    their product with the band [span, _TILE] of its channel,
+    band[i*s + k*d, i] = w[c, k]. `a` is copied once, into a zero buffer that
+    ends at the last input read; the left operand is an as_strided view
+    [tiles, C, B, span] of it whose GEMM rows are batch items, so BLAS reads it
+    in place, and one matmul writes through out= into a transposed view of the
+    contiguous [B, C, t_out] result. Tiles are the outer loop so that
+    consecutive GEMMs write neighbouring channels of the same output rows.
+    A partial last tile of r outputs is a second matmul with the band's first
+    r columns and the rows they reach.
+    """
+    b, c, t = a.shape
+    dtype = np.result_type(a, w)
+    reach = d * (w.shape[1] - 1)
+    length = (t_out - 1) * s + reach + 1
+    buf = np.zeros((b, c, length), dtype)
+    buf[:, :, pad:pad + t] = a[:, :, :length - pad]
+    band = np.zeros((c, (_TILE - 1) * s + reach + 1, _TILE), dtype)
+    i = np.arange(_TILE)[:, None]
+    band[:, i * s + np.arange(w.shape[1]) * d, i] = w[:, None]
+    out = np.empty((b, c, t_out), dtype)
+    sb, sc, st = buf.strides
+    full, r = divmod(t_out, _TILE)
+    for lo, n, cols in ((0, full, _TILE), (full, int(r > 0), r)):
+        if n:
+            span = (cols - 1) * s + reach + 1
+            view = np.lib.stride_tricks.as_strided(
+                buf[:, :, lo * _TILE * s:], (n, c, b, span),
+                (_TILE * s * st, sc, sb, st), writeable=False)
+            np.matmul(view, band[:, :span, :cols],
+                      out=out[:, :, lo * _TILE:lo * _TILE + n * cols]
+                      .reshape(b, c, n, cols).transpose(2, 1, 0, 3))
     return out
 
 
@@ -149,22 +212,33 @@ def _conv(x, spec, weight, bias, axes):
     )
     flat = math.prod(out_sizes)
     lead = (slice(None), slice(None))
+    depthwise = spec.is_depthwise
+    banded = depthwise and n == 1
 
-    padded = any(pads)
-    xp = x.data
-    if padded:
-        xp = np.pad(xp, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
-    view = _windows(xp, ks, strides, dils)  # [B, C, *out, *k]
-    groups = [
-        (slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
-        for gi in range(g)
-    ]
-    if spec.is_depthwise:
-        out = _depthwise(view, weight.data[:, 0])
+    xp = None if banded else _pad(x.data, pads)  # _banded pads into its own buffer
+    if banded:
+        out = _banded(x.data, weight.data[:, 0], strides[0], dils[0], pads[0],
+                      out_sizes[0])
+    elif depthwise:
+        out = _depthwise(_windows(xp, ks, strides, dils), weight.data[:, 0])
     else:
+        # per kernel tap, the index of the [B, C, *out] inputs it reads: a
+        # strided slice, or for a stride-1 pointwise conv the whole input
+        if ks == strides == (1,) * n:
+            taps = [((0,) * n, Ellipsis)]
+        else:
+            taps = [
+                (tap, lead + tuple(slice(i * d, i * d + s * (o - 1) + 1, s)
+                                   for i, s, d, o in zip(tap, strides, dils, out_sizes)))
+                for tap in np.ndindex(*ks)
+            ]
+        groups = [
+            (slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
+            for gi in range(g)
+        ]
         out = np.zeros((b, spec.out_channels) + out_sizes, dtype=x.dtype)
-        for tap in np.ndindex(*ks):
-            seg = view[(Ellipsis,) + tap]
+        for tap, at in taps:
+            seg = xp[at]
             for ics, ocs in groups:
                 sflat = seg[:, ics].reshape(b, cin_g, flat)
                 out[:, ocs] += np.matmul(
@@ -175,9 +249,19 @@ def _conv(x, spec, weight, bias, axes):
     record_macs(b * spec.out_channels * cin_g * math.prod(ks) * flat)
 
     def grad_x(gout):
-        if spec.is_depthwise:
-            # adjoint: gout zero-stuffed by the stride and padded by the dilated reach,
-            # windowed at stride 1 against the flipped kernel; the kernel is copied
+        if banded:
+            # adjoint: gout zero-stuffed by the stride, convolved at stride 1 with
+            # the flipped kernel after the dilated reach less the forward's padding
+            (s,), (d,), (k,) = strides, dils, ks
+            if s > 1:
+                stuffed = np.zeros((b, spec.in_channels, s * (out_sizes[0] - 1) + 1),
+                                   gout.dtype)
+                stuffed[:, :, ::s] = gout
+                gout = stuffed
+            return _banded(gout, weight.data[:, 0, ::-1], 1, d,
+                           d * (k - 1) - pads[0], sizes[0])
+        if depthwise:
+            # the same adjoint through the window view; the kernel is copied
             # because matmul takes a slow path on reversed strides
             reach = [d * (k - 1) for k, d in zip(ks, dils)]
             gp = np.zeros(xp.shape[:2] + tuple(np.add(xp.shape[2:], reach)), gout.dtype)
@@ -187,25 +271,25 @@ def _conv(x, spec, weight, bias, axes):
             gxp = _depthwise(_windows(gp, ks, (1,) * n, dils), flipped)
         else:
             gxp = np.zeros_like(xp)
-            gview = _windows(gxp, ks, strides, dils, writeable=True)
-            for tap in np.ndindex(*ks):
-                dst = gview[(Ellipsis,) + tap]
+            for tap, at in taps:
+                dst = gxp[at]
                 for ics, ocs in groups:
                     gflat = gout[:, ocs].reshape(b, cout_g, flat)
                     dst[:, ics] += np.matmul(
                         weight.data[(ocs, slice(None)) + tap].T, gflat
                     ).reshape((b, cin_g) + out_sizes)
-        if padded:
+        if any(pads):
             gxp = gxp[lead + tuple(slice(p, p + m) for p, m in zip(pads, sizes))]
         return gxp
 
     def grad_w(gout):
-        if spec.is_depthwise:
+        if depthwise:
+            view = _windows(_pad(x.data, pads) if banded else xp, ks, strides, dils)
             o, k = list(range(2, n + 2)), list(range(n + 2, 2 * n + 2))
             return np.einsum(gout, [0, 1, *o], view, [0, 1, *o, *k], [1, *k])[:, None]
         gw = np.zeros(weight.shape, dtype=weight.dtype)
-        for tap in np.ndindex(*ks):
-            seg = view[(Ellipsis,) + tap]
+        for tap, at in taps:
+            seg = xp[at]
             for ics, ocs in groups:
                 gflat = gout[:, ocs].reshape(b, cout_g, flat)
                 sflat = seg[:, ics].reshape(b, cin_g, flat)

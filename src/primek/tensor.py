@@ -135,15 +135,15 @@ class Tensor:
         """Populate .grad on every reachable requires_grad tensor.
 
         Only a scalar (0-d) loss may seed the backward pass. Repeated calls
-        accumulate into existing gradient buffers.
+        accumulate into existing leaf gradient buffers. Interior gradients are
+        per-pass scratch: each is freed once its node has propagated it, so
+        afterwards every non-leaf .grad is None.
         """
         if self.data.ndim != 0:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
             )
         topo = _toposort(self)
-        # interior grads are per-pass scratch; only leaf grads accumulate
-        # across repeated calls
         for node in topo:
             if node._backward_fn is not None:
                 node.grad = None
@@ -151,6 +151,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
 
 def _toposort(root):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -318,40 +320,63 @@ def sweep_case(rng, i):
     return spec, (int(rng.integers(1, 3)), cin) + sizes
 
 
+def check_oracle_and_adjoints(rng, spec, shape, case):
+    """Draw x [shape], w and a bias from rng: the forward matches the naive
+    oracle to 1e-12, and both gradients satisfy their adjoint identities with
+    the oracle as the forward, <conv(dx, w), g> = <dx, grad_x(g)> and
+    <conv(x, dw), g> = <dw, grad_w(g)>, to 1e-12 relative. Returns the output
+    shape."""
+    conv, naive = (conv2d, naive_conv2d) if len(shape) == 4 else (conv1d, naive_conv1d)
+    ks = spec.kernel if isinstance(spec.kernel, tuple) else (spec.kernel,)
+
+    def oracle(x, w, b=None):
+        return naive(x, w, b, spec.stride, spec.dilation, spec.groups,
+                     spec.padding == "same")
+
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    w = Tensor(rng.standard_normal(
+        (spec.out_channels, spec.in_channels // spec.groups) + ks),
+        requires_grad=True)
+    b = Tensor(rng.standard_normal(spec.out_channels))
+    out = conv(x, spec, w, b)
+    want = oracle(x.data, w.data, b.data)
+    assert out.shape == want.shape, case
+    assert np.abs(out.data - want).max() < 1e-12, case
+
+    g = rng.standard_normal(out.shape)
+    T.sum_all(T.mul(out, Tensor(g))).backward()
+    dx = rng.standard_normal(x.shape)
+    dw = rng.standard_normal(w.shape)
+    for fwd, d, grad in ((oracle(dx, w.data), dx, x.grad),
+                         (oracle(x.data, dw), dw, w.grad)):
+        lhs, rhs = np.vdot(fwd, g), np.vdot(d, grad)
+        scale = np.vdot(np.abs(fwd), np.abs(g)) + np.vdot(np.abs(d), np.abs(grad))
+        assert abs(lhs - rhs) <= 1e-12 * scale, case
+    return out.shape
+
+
 def test_seeded_sweep_matches_oracle_and_adjoints():
-    """100 seeded specs: the forward matches the naive oracle, and both
-    gradients satisfy their adjoint identities with the oracle as the
-    forward, <conv(dx, w), g> = <dx, grad_x(g)> and
-    <conv(x, dw), g> = <dw, grad_w(g)>, to 1e-12 relative."""
+    """100 seeded specs, each held to check_oracle_and_adjoints."""
     rng = np.random.default_rng(2027)
     for i in range(100):
         spec, shape = sweep_case(rng, i)
-        conv, naive = (conv2d, naive_conv2d) if len(shape) == 4 else (conv1d, naive_conv1d)
-        ks = spec.kernel if isinstance(spec.kernel, tuple) else (spec.kernel,)
+        check_oracle_and_adjoints(rng, spec, shape, (i, spec))
 
-        def oracle(x, w, b=None):
-            return naive(x, w, b, spec.stride, spec.dilation, spec.groups,
-                         spec.padding == "same")
 
-        x = Tensor(rng.standard_normal(shape), requires_grad=True)
-        w = Tensor(rng.standard_normal(
-            (spec.out_channels, spec.in_channels // spec.groups) + ks),
-            requires_grad=True)
-        b = Tensor(rng.standard_normal(spec.out_channels))
-        out = conv(x, spec, w, b)
-        want = oracle(x.data, w.data, b.data)
-        assert out.shape == want.shape, (i, spec)
-        assert np.abs(out.data - want).max() < 1e-12, (i, spec)
-
-        g = rng.standard_normal(out.shape)
-        T.sum_all(T.mul(out, Tensor(g))).backward()
-        dx = rng.standard_normal(x.shape)
-        dw = rng.standard_normal(w.shape)
-        for fwd, d, grad in ((oracle(dx, w.data), dx, x.grad),
-                             (oracle(x.data, dw), dw, w.grad)):
-            lhs, rhs = np.vdot(fwd, g), np.vdot(d, grad)
-            scale = np.vdot(np.abs(fwd), np.abs(g)) + np.vdot(np.abs(d), np.abs(grad))
-            assert abs(lhs - rhs) <= 1e-12 * scale, (i, spec)
+def test_depthwise_1d_tile_boundaries_match_oracle_and_adjoints():
+    """1-D depthwise convs are computed in tiles of 16 outputs. Output
+    lengths shorter than one tile and on both sides of one, two and three
+    tiles, for every kernel, stride, dilation and padding below, each held
+    to check_oracle_and_adjoints."""
+    rng = np.random.default_rng(2029)
+    for t_out, k, s, d, padding in itertools.product(
+            (1, 15, 16, 17, 31, 32, 33, 47, 65), (1, 3, 5, 11, 31), (1, 2, 3),
+            (1, 2, 3), ("same", "valid")):
+        spec = ConvSpec(2, 2, k, stride=s, dilation=d, groups=2, padding=padding)
+        # the input length that gives t_out outputs
+        t = (t_out - 1) * s + (1 if padding == "same" else d * (k - 1) + 1)
+        case = (t_out, k, s, d, padding)
+        assert check_oracle_and_adjoints(rng, spec, (2, 2, t), case) == (2, 2, t_out), case
 
 
 # ---------------------------------------------------------------------------

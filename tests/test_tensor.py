@@ -87,6 +87,38 @@ def test_repeated_backward_accumulates():
     assert np.allclose(x.grad, 2 * first)
 
 
+def test_backward_frees_interior_gradients_and_keeps_leaf_gradients():
+    """After backward every non-leaf .grad is None, and each leaf gradient
+    equals that of a reference pass that keeps every interior gradient."""
+    rng = np.random.default_rng(11)
+    values = [rng.standard_normal(s) for s in ((2, 3, 20), (3, 1, 5), (3,))]
+    proj = Tensor(rng.standard_normal((2, 3, 20)))
+
+    def graph():
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        x, w, alpha = leaves
+        h = conv1d(x, ConvSpec(3, 3, 5, groups=3), w)
+        y = T.prelu(T.add(T.mul(h, h), h), alpha)  # h feeds two ops
+        return leaves, T.sum_all(T.mul(y, proj))
+
+    leaves, loss = graph()
+    topo = T._toposort(loss)
+    T._accumulate(loss, np.ones(()))
+    for node in reversed(topo):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+    interior = [node for node in topo if node._backward_fn is not None]
+    assert len(interior) == 6 and all(node.grad is not None for node in interior)
+    want = [p.grad for p in leaves]
+
+    leaves, loss = graph()
+    loss.backward()
+    assert all(node.grad is None for node in T._toposort(loss)
+               if node._backward_fn is not None)
+    for p, ref in zip(leaves, want):
+        assert np.array_equal(p.grad, ref)
+
+
 def test_disconnected_leaf_gets_no_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
     y = Tensor(np.ones(3), requires_grad=True)
