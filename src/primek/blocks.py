@@ -1,9 +1,9 @@
-"""Architectural units: channel attention, prime-kernel gated feed-forward,
-dilated dense blocks, and the assembled two-stage magnitude/phase model.
+"""Architectural units: the GPFCA block (simplified channel attention and
+the prime-kernel gated feed-forward), dilated dense blocks, and the
+assembled two-stage magnitude/phase model.
 
 Parameter-owning classes follow a tiny Module convention (named_params for
-optimizers/checkpoints); the algebra of each unit lives in plain functions
-where the contract is a formula over explicit weight tensors.
+optimizers/checkpoints).
 """
 
 from __future__ import annotations
@@ -27,34 +27,30 @@ def _is_prime(n):
 
 
 @dataclass(frozen=True)
-class KernelGroup:
-    """The four depthwise kernel sizes used by the gated unit."""
-
-    sizes: tuple = (3, 11, 23, 31)
-
-    def __post_init__(self):
-        if len(self.sizes) != 4:
-            raise ValueError(f"kernel group needs 4 sizes, got {self.sizes}")
-        for k in self.sizes:
-            if k < 1 or k % 2 == 0:
-                raise ValueError(f"kernel size {k} must be odd and positive")
-        composite = [k for k in self.sizes if not _is_prime(k)]
-        if composite:
-            warnings.warn(
-                f"kernel sizes {composite} are not prime; multi-scale groups "
-                "may have overlapping periodic responses"
-            )
-
-
-@dataclass(frozen=True)
 class GpfcaConfig:
+    """Hyperparameters of one GPFCA block; kernel_group holds the depthwise
+    kernel size of each channel quarter of the gated unit."""
+
     channels: int = 64
-    kernel_group: KernelGroup = field(default_factory=KernelGroup)
+    kernel_group: tuple = (3, 11, 23, 31)
     ffn_expansion: int = 12
     attn_expansion: int = 2
     norm_eps: float = 1e-5
 
     def __post_init__(self):
+        sizes = self.kernel_group
+        if len(sizes) != 4:
+            raise ValueError(f"gpfca.kernel_group needs 4 sizes, got {sizes}")
+        for k in sizes:
+            if k < 1 or k % 2 == 0:
+                raise ValueError(
+                    f"gpfca.kernel_group size {k} must be odd and positive")
+        composite = [k for k in sizes if not _is_prime(k)]
+        if composite:
+            warnings.warn(
+                f"gpfca.kernel_group sizes {composite} are not prime; "
+                "multi-scale groups may have overlapping periodic responses"
+            )
         if self.ffn_expansion < 1:
             raise ValueError("ffn_expansion must be >= 1")
         hidden = self.ffn_expansion * self.channels
@@ -195,88 +191,41 @@ class Conv(Module):
 
 
 # ---------------------------------------------------------------------------
-# simplified channel attention
-# ---------------------------------------------------------------------------
-
-def sca_forward(x, pwc_weight, pwc_bias=None):
-    """x ⊙ broadcast(PWC(mean over time)): channel reweighting on [B, C, T]."""
-    c = x.shape[1]
-    if pwc_weight.shape != (c, c):
-        raise ShapeError(
-            f"channel-mixing weight {pwc_weight.shape} does not match C={c}"
-        )
-    pooled = T.adaptive_avg_pool_to_one(x)  # [B, C, 1]
-    spec = ConvSpec(c, c, 1)
-    weights = conv1d(pooled, spec, T.reshape(pwc_weight, (c, c, 1)), pwc_bias)
-    return T.mul(x, weights)
-
-
-class ChannelAttention(Module):
-    def __init__(self, rng, channels):
-        super().__init__()
-        self.weight = self.param("weight", _winit(rng, (channels, channels), channels))
-        self.bias = self.param("bias", _zeros(channels))
-
-    def forward(self, x):
-        return sca_forward(x, self.weight, self.bias)
-
-
-# ---------------------------------------------------------------------------
 # depthwise fusion gate and the grouped gated unit
 # ---------------------------------------------------------------------------
 
-def dfg_forward(x, k, dwc_gate_w, dwc_value_w, pwc_w,
-                dwc_gate_b=None, dwc_value_b=None, pwc_b=None):
-    """Gate a depthwise-filtered branch with a pointwise-projected one:
-    PWC(DWC_k(x)) ⊙ DWC_k(x) on [B, Cg, T], the two DWC_k with their own
-    weights.
+def dfg_forward(x, dwc_gate, dwc_value, pwc):
+    """Depthwise fusion gate of one channel quarter, PWC(DWC_g(x)) ⊙ DWC_v(x)
+    on [B, Cg, T]: two depthwise convs of one kernel size, with their own
+    weights, and a pointwise conv on the gate branch.
     """
-    if k % 2 == 0:
-        raise ShapeError(f"even kernel {k} is not allowed (same padding)")
-    c = x.shape[1]
-    dspec = ConvSpec(c, c, k, groups=c)
-    pspec = ConvSpec(c, c, 1)
-    gate = conv1d(x, dspec, dwc_gate_w, dwc_gate_b)
-    value = conv1d(x, dspec, dwc_value_w, dwc_value_b)
-    return T.mul(conv1d(gate, pspec, pwc_w, pwc_b), value)
-
-
-class FusionGate(Module):
-    def __init__(self, rng, channels, kernel):
-        super().__init__()
-        self.kernel = kernel
-        self.dwc_gate = self.child(
-            "dwc_gate", Conv(rng, ConvSpec(channels, channels, kernel, groups=channels))
-        )
-        self.dwc_value = self.child(
-            "dwc_value", Conv(rng, ConvSpec(channels, channels, kernel, groups=channels))
-        )
-        self.pwc = self.child("pwc", Conv(rng, ConvSpec(channels, channels, 1)))
-
-    def forward(self, x):
-        return dfg_forward(
-            x, self.kernel,
-            self.dwc_gate.weight, self.dwc_value.weight, self.pwc.weight,
-            self.dwc_gate.bias, self.dwc_value.bias, self.pwc.bias,
-        )
+    gate = dwc_gate.forward(x)
+    value = dwc_value.forward(x)
+    return T.mul(pwc.forward(gate), value)
 
 
 class GatedUnit(Module):
-    """Channel-quartered multi-scale gating: one fusion gate per quarter."""
+    """Channel-quartered multi-scale gating: quarter i goes through a fusion
+    gate whose depthwise convs have kernel size sizes[i]."""
 
-    def __init__(self, rng, channels, kernel_group):
+    def __init__(self, rng, channels, sizes):
         super().__init__()
         if channels % 4 != 0:
             raise ShapeError(f"channels {channels} not divisible by 4")
-        self.kernel_group = kernel_group
-        self.gates = [
-            self.child(f"gate{i}", FusionGate(rng, channels // 4, k))
-            for i, k in enumerate(kernel_group.sizes)
-        ]
+        c = channels // 4
+        self.quarters = []
+        for i, k in enumerate(sizes):
+            dwc = ConvSpec(c, c, k, groups=c)
+            self.quarters.append((
+                self.child(f"dwc_gate{i}", Conv(rng, dwc)),
+                self.child(f"dwc_value{i}", Conv(rng, dwc)),
+                self.child(f"pwc{i}", Conv(rng, ConvSpec(c, c, 1))),
+            ))
 
     def forward(self, x):
         parts = T.chunk(x, 4)
-        return T.concat([g.forward(p) for g, p in zip(self.gates, parts)])
+        return T.concat([dfg_forward(p, *q)
+                         for p, q in zip(parts, self.quarters, strict=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +250,10 @@ class FeedForward(Module):
 class GpfcaBlock(Module):
     """Residual pairing of a channel-attention sub-layer and the gated
     feed-forward sub-layer, pre-norm, with zero-initialized residual scales.
+
+    The attention sub-layer gates the halves of a depthwise-filtered
+    expansion against each other, then applies simplified channel attention
+    (Chen et al., arXiv:2204.04676): h ⊙ PWC(mean over time of h).
     """
 
     def __init__(self, rng, cfg):
@@ -312,7 +265,7 @@ class GpfcaBlock(Module):
         self.dwc = self.child(
             "dwc", Conv(rng, ConvSpec(wide, wide, 3, groups=wide))
         )
-        self.sca = self.child("sca", ChannelAttention(rng, wide // 2))
+        self.sca = self.child("sca", Conv(rng, ConvSpec(wide // 2, wide // 2, 1)))
         self.project = self.child("project", Conv(rng, ConvSpec(wide // 2, c, 1)))
         self.scale1 = self.param("scale1", _zeros(c))
         self.norm2 = self.child("norm2", Norm(c, axes=(1,), eps=cfg.norm_eps))
@@ -325,7 +278,7 @@ class GpfcaBlock(Module):
         h = self.dwc.forward(h)
         a, b = T.chunk(h, 2, axis=1)  # simple multiplicative gate
         h = T.mul(a, b)
-        h = self.sca.forward(h)
+        h = T.mul(h, self.sca.forward(T.mean_axis(h, 2)))
         h = self.project.forward(h)
         x = T.add(x, T.scale_channels(h, self.scale1))
         h = self.norm2.forward(x)

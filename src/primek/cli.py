@@ -133,45 +133,27 @@ def _block_cases(cfg, rng):
         mask_max=cfg.model.mask_max,
     )
 
-    def seq_case(name, module, length=t_len):
-        x = Tensor(rng.standard_normal((1, c, length)), requires_grad=True)
-        tensors = dict(module.named_params())
-        tensors["input"] = x
-        return name, (lambda: module.forward(x)), tensors
+    seq, grid = (1, c, t_len), (1, c, t_len, f_len)
 
-    def grid_case(name, module):
-        x = Tensor(rng.standard_normal((1, c, t_len, f_len)), requires_grad=True)
+    def case(name, module, shape, *args):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
         tensors = dict(module.named_params())
         tensors["input"] = x
-        return name, (lambda: module.forward(x)), tensors
+        return name, (lambda: module.forward(x, *args)), tensors
 
     cases = [
-        seq_case("channel_attention", B.ChannelAttention(rng, c)),
-        seq_case("fusion_gate", B.FusionGate(rng, c, kernel=3)),
-        seq_case("gated_unit", B.GatedUnit(rng, c, g.kernel_group)),
-        seq_case("feed_forward", B.FeedForward(rng, small_gpfca)),
-        seq_case("gpfca_block", B.GpfcaBlock(rng, small_gpfca)),
+        case("gated_unit", B.GatedUnit(rng, c, g.kernel_group), seq),
+        case("feed_forward", B.FeedForward(rng, small_gpfca), seq),
+        case("gpfca_block", B.GpfcaBlock(rng, small_gpfca), seq),
     ]
     for variant in ("DDB", "DSDDB"):
         spec = B.DenseBlockSpec(depth=2, channels=c, dilations=(1, 2),
                                 variant=variant)
-        cases.append(grid_case(f"dense_{variant.lower()}",
-                               B.DenseBlock(rng, spec)))
-
-    mask_dec = B.MaskDecoder(rng, model_cfg)
-    xm = Tensor(rng.standard_normal((1, c, t_len, f_len)), requires_grad=True)
-    tm = dict(mask_dec.named_params())
-    tm["input"] = xm
-    cases.append(("mask_decoder",
-                  lambda: mask_dec.forward(xm, 2 * f_len - 1), tm))
-
-    phase_dec = B.PhaseDecoder(rng, model_cfg)
-    xp = Tensor(rng.standard_normal((1, c, t_len, f_len)), requires_grad=True)
-    noisy_phase = Tensor(rng.uniform(-3.0, 3.0, (1, 2 * f_len - 1, t_len)))
-    tp = dict(phase_dec.named_params())
-    tp["input"] = xp
-    cases.append(("phase_decoder",
-                  lambda: phase_dec.forward(xp, noisy_phase), tp))
+        cases.append(case(f"dense_{variant.lower()}", B.DenseBlock(rng, spec), grid))
+    cases.append(case("mask_decoder", B.MaskDecoder(rng, model_cfg), grid,
+                      2 * f_len - 1))
+    cases.append(case("phase_decoder", B.PhaseDecoder(rng, model_cfg), grid,
+                      Tensor(rng.uniform(-3.0, 3.0, (1, 2 * f_len - 1, t_len)))))
     return cases, model_cfg
 
 

@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from functools import reduce
 
-from .blocks import DenseBlockSpec, GpfcaConfig, KernelGroup, ModelConfig
+from .blocks import DenseBlockSpec, GpfcaConfig, ModelConfig
 from .losses import LossWeights
 from .spectral import SpectroConfig
 from .trainer import OptConfig, ToyTaskSpec
@@ -102,8 +102,6 @@ def _field_paths(cfg):
 
 
 def _fmt(v):
-    if isinstance(v, KernelGroup):
-        v = v.sizes
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (tuple, list)):
@@ -137,8 +135,6 @@ def model_hash(cfg):
 
 
 def _parse_value(raw, like):
-    if isinstance(like, KernelGroup):
-        return KernelGroup(_parse_value(raw, like.sizes))
     if isinstance(like, tuple):
         return tuple(int(x) for x in raw.split(","))
     if isinstance(like, bool):

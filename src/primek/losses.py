@@ -42,7 +42,7 @@ def _check_same_shape(a, b, what):
 def magnitude_loss(est, ref):
     """Mean squared error between compressed-domain magnitudes."""
     _check_same_shape(est, ref, "magnitude_loss")
-    diff = T.add(est, T.neg(ref))
+    diff = T.sub(est, ref)
     return T.mean_all(T.mul(diff, diff))
 
 
@@ -61,7 +61,7 @@ def phase_loss(est, ref):
     along frequency), and instantaneous angular frequency (difference along
     time); inputs are [B, F, T] in radians."""
     _check_same_shape(est, ref, "phase_loss")
-    diff = T.add(est, T.neg(ref))
+    diff = T.sub(est, ref)
     ip = T.mean_all(anti_wrap(diff))
     gd = T.mean_all(anti_wrap(_diff_axis(diff, axis=1)))
     iaf = T.mean_all(anti_wrap(_diff_axis(diff, axis=2)))
@@ -72,7 +72,7 @@ def _diff_axis(x, axis):
     n = x.shape[axis]
     hi = T.crop(x, axis, 1, n)
     lo = T.crop(x, axis, 0, n - 1)
-    return T.add(hi, T.neg(lo))
+    return T.sub(hi, lo)
 
 
 def complex_loss(est_spec, ref_spec):
@@ -82,8 +82,8 @@ def complex_loss(est_spec, ref_spec):
     rr = T.mul(ref_spec.magnitude, T.cos(ref_spec.phase))
     ri = T.mul(ref_spec.magnitude, T.sin(ref_spec.phase))
     _check_same_shape(er, rr, "complex_loss")
-    dr = T.add(er, T.neg(rr))
-    di = T.add(ei, T.neg(ri))
+    dr = T.sub(er, rr)
+    di = T.sub(ei, ri)
     half = T.add(T.mean_all(T.mul(dr, dr)), T.mean_all(T.mul(di, di)))
     return T.mul_scalar(half, 0.5)
 
@@ -91,7 +91,7 @@ def complex_loss(est_spec, ref_spec):
 def time_loss(est, ref):
     """Mean absolute error between waveforms [B, N]."""
     _check_same_shape(est, ref, "time_loss")
-    return T.mean_all(T.absolute(T.add(est, T.neg(ref))))
+    return T.mean_all(T.absolute(T.sub(est, ref)))
 
 
 def consistency_loss(est_spec, target_len=None):
@@ -111,7 +111,7 @@ def consistency_loss(est_spec, target_len=None):
     rect_rt = stft_rect(wave, cfg)
     if rect_rt.shape != rect.shape:
         rect_rt = T.crop(rect_rt, 3, 0, rect.shape[3])
-    diff = T.add(rect, T.neg(rect_rt))
+    diff = T.sub(rect, rect_rt)
     return T.mean_all(T.mul(diff, diff))
 
 

@@ -243,6 +243,13 @@ def add(a, b):
     )
 
 
+def sub(a, b):
+    _check_elementwise(a, b)
+    return _op(
+        a.data - b.data, (a, lambda g: _fit(g, a)), (b, lambda g: -_fit(g, b))
+    )
+
+
 def mul(a, b):
     _check_elementwise(a, b)
     return _op(
@@ -250,10 +257,6 @@ def mul(a, b):
         (a, lambda g: _fit(g * b.data, a)),
         (b, lambda g: _fit(g * a.data, b)),
     )
-
-
-def neg(a):
-    return _op(-a.data, (a, lambda g: -g))
 
 
 def mul_scalar(a, c):
@@ -480,15 +483,6 @@ def repeat_axis(x, axis, times):
 def stack(parts, axis=1):
     expanded = [reshape(p, p.shape[:axis] + (1,) + p.shape[axis:]) for p in parts]
     return concat(expanded, axis=axis)
-
-
-def adaptive_avg_pool_to_one(x):
-    """Compress the trailing time axis of [B, C, T] to a single mean value."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"expected [B, C, T], got {x.shape}")
-    if x.shape[-1] < 1:
-        raise ShapeError("empty time axis")
-    return mean_axis(x, axis=2, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,7 @@ def test_10_kernel_group_choice_matters(capsys):
     for sizes in sets:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            unit = B.GatedUnit(np.random.default_rng(7), c,
-                               B.KernelGroup(sizes))
+            unit = B.GatedUnit(np.random.default_rng(7), c, sizes)
         counts.append(sum(p.data.size for p in unit.named_params().values()))
         with T.no_grad():
             outputs.append(unit.forward(x).data)

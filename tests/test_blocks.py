@@ -4,24 +4,23 @@ import pytest
 from primek import blocks as B
 from primek import tensor as T
 from primek.blocks import (
-    ChannelAttention,
+    Conv,
     DenseBlock,
     DenseBlockSpec,
     EnhancementModel,
     FeedForward,
-    FusionGate,
     GatedUnit,
     GpfcaBlock,
     GpfcaConfig,
-    KernelGroup,
     ModelConfig,
     dfg_forward,
     enhance,
-    sca_forward,
 )
 from primek.complexity import params_ddb, params_dsddb
+from primek.conv import ConvSpec
 from primek.spectral import SpectroConfig, Spectrogram, compress, decompress, istft, stft
 from primek.tensor import ShapeError, Tensor
+from test_conv import naive_conv1d
 
 RNG = np.random.default_rng(5)
 
@@ -41,19 +40,19 @@ def tiny_model_cfg(c=8, **kw):
 # ---------------------------------------------------------------------------
 
 def test_kernel_group_default_is_prime_and_increasing():
-    kg = KernelGroup()
-    assert kg.sizes == (3, 11, 23, 31)
-    assert all(a < b for a, b in zip(kg.sizes, kg.sizes[1:]))
+    sizes = GpfcaConfig().kernel_group
+    assert sizes == (3, 11, 23, 31)
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_kernel_group_warns_on_non_prime():
     with pytest.warns(UserWarning):
-        KernelGroup((3, 9, 15, 21))
+        GpfcaConfig(kernel_group=(3, 9, 15, 21))
 
 
 def test_kernel_group_rejects_even():
     with pytest.raises(ValueError):
-        KernelGroup((3, 4, 7, 11))
+        GpfcaConfig(kernel_group=(3, 4, 7, 11))
 
 
 def test_gpfca_config_divisibility():
@@ -68,83 +67,56 @@ def test_dense_spec_dilation_default_and_length_check():
 
 
 # ---------------------------------------------------------------------------
-# simplified channel attention
-# ---------------------------------------------------------------------------
-
-def test_sca_identity_pwc_on_constant_input_squares():
-    vals = np.array([1.5, -2.0, 0.5])
-    x = Tensor(np.broadcast_to(vals.reshape(1, 3, 1), (1, 3, 7)).copy())
-    out = sca_forward(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
-    assert np.allclose(out.data, (vals ** 2).reshape(1, 3, 1))
-
-
-def test_sca_zero_pwc_annihilates():
-    x = Tensor(RNG.standard_normal((2, 4, 6)))
-    out = sca_forward(x, Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))
-    assert np.all(out.data == 0.0)
-
-
-def test_sca_matches_hand_composition():
-    x = RNG.standard_normal((2, 4, 8))
-    w = RNG.standard_normal((4, 4))
-    b = RNG.standard_normal(4)
-    got = sca_forward(Tensor(x), Tensor(w), Tensor(b)).data
-    pooled = x.mean(axis=2)                    # AAP
-    mixed = pooled @ w.T + b                   # PWC
-    want = x * mixed[:, :, None]               # broadcast multiply
-    assert np.abs(got - want).max() < 1e-12
-
-
-def test_sca_channel_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        sca_forward(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((4, 4))))
-
-
-# ---------------------------------------------------------------------------
 # depthwise fusion gate
 # ---------------------------------------------------------------------------
 
 def delta_depthwise(c, k):
     w = np.zeros((c, 1, k))
     w[:, 0, k // 2] = 1.0
-    return Tensor(w)
+    return w
+
+
+def fusion_convs(k, gate_w, value_w, pwc_w):
+    """dwc_gate, dwc_value and pwc modules of one quarter holding the given
+    weights, with zero biases."""
+    c = pwc_w.shape[0]
+    rng = np.random.default_rng(0)
+    dwc = ConvSpec(c, c, k, groups=c)
+    convs = (Conv(rng, dwc), Conv(rng, dwc), Conv(rng, ConvSpec(c, c, 1)))
+    for conv, w in zip(convs, (gate_w, value_w, pwc_w)):
+        conv.weight.data[:] = w
+    return convs
 
 
 def test_dfg_delta_kernels_reduce_to_square():
     x = Tensor(RNG.standard_normal((1, 3, 10)))
-    out = dfg_forward(x, 3, delta_depthwise(3, 3), delta_depthwise(3, 3),
-                      Tensor(np.eye(3).reshape(3, 3, 1)))
-    assert np.abs(out.data - x.data ** 2).max() < 1e-14
+    convs = fusion_convs(3, delta_depthwise(3, 3), delta_depthwise(3, 3),
+                         np.eye(3).reshape(3, 3, 1))
+    assert np.abs(dfg_forward(x, *convs).data - x.data ** 2).max() < 1e-14
 
 
 def test_dfg_zero_input_gives_zero():
-    x = Tensor(np.zeros((1, 2, 8)))
-    out = dfg_forward(x, 3,
-                      Tensor(RNG.standard_normal((2, 1, 3))),
-                      Tensor(RNG.standard_normal((2, 1, 3))),
-                      Tensor(RNG.standard_normal((2, 2, 1))))
+    convs = fusion_convs(3, RNG.standard_normal((2, 1, 3)),
+                         RNG.standard_normal((2, 1, 3)),
+                         RNG.standard_normal((2, 2, 1)))
+    out = dfg_forward(Tensor(np.zeros((1, 2, 8))), *convs)
     assert np.all(out.data == 0.0)
 
 
 def test_dfg_even_kernel_rejected():
     with pytest.raises(ShapeError):
-        dfg_forward(Tensor(np.zeros((1, 2, 8))), 4,
-                    Tensor(np.zeros((2, 1, 4))), Tensor(np.zeros((2, 1, 4))),
-                    Tensor(np.zeros((2, 2, 1))))
+        GatedUnit(RNG, 8, (3, 4, 7, 11))
 
 
 def test_dfg_matches_composed_convolutions():
-    from primek.conv import ConvSpec, conv1d
-
-    x = Tensor(RNG.standard_normal((1, 2, 12)))
-    wg = Tensor(RNG.standard_normal((2, 1, 3)))
-    wv = Tensor(RNG.standard_normal((2, 1, 3)))
-    wp = Tensor(RNG.standard_normal((2, 2, 1)))
-    got = dfg_forward(x, 3, wg, wv, wp).data
-    dspec = ConvSpec(2, 2, 3, groups=2)
-    gate = conv1d(x, dspec, wg)
-    value = conv1d(x, dspec, wv)
-    want = conv1d(gate, ConvSpec(2, 2, 1), wp).data * value.data
+    x = RNG.standard_normal((1, 2, 12))
+    wg = RNG.standard_normal((2, 1, 3))
+    wv = RNG.standard_normal((2, 1, 3))
+    wp = RNG.standard_normal((2, 2, 1))
+    got = dfg_forward(Tensor(x), *fusion_convs(3, wg, wv, wp)).data
+    gate = naive_conv1d(x, wg, None, 1, 1, 2, True)
+    value = naive_conv1d(x, wv, None, 1, 1, 2, True)
+    want = naive_conv1d(gate, wp, None, 1, 1, 1, True) * value
     assert np.abs(got - want).max() < 1e-14
 
 
@@ -152,13 +124,11 @@ def test_dfg_sign_flip_invariance():
     # negate the input and both depthwise weight sets (zero biases, linear
     # pwc): the gate product cancels the two sign flips
     x = Tensor(RNG.standard_normal((1, 3, 10)))
-    wg = Tensor(RNG.standard_normal((3, 1, 5)))
-    wv = Tensor(RNG.standard_normal((3, 1, 5)))
-    wp = Tensor(RNG.standard_normal((3, 3, 1)))
-    base = dfg_forward(x, 5, wg, wv, wp).data
-    flipped = dfg_forward(
-        Tensor(-x.data), 5, Tensor(-wg.data), Tensor(-wv.data), wp
-    ).data
+    wg = RNG.standard_normal((3, 1, 5))
+    wv = RNG.standard_normal((3, 1, 5))
+    wp = RNG.standard_normal((3, 3, 1))
+    base = dfg_forward(x, *fusion_convs(5, wg, wv, wp)).data
+    flipped = dfg_forward(Tensor(-x.data), *fusion_convs(5, -wg, -wv, wp)).data
     assert np.abs(base - flipped).max() < 1e-12
 
 
@@ -166,57 +136,55 @@ def test_dfg_sign_flip_invariance():
 # grouped gated unit
 # ---------------------------------------------------------------------------
 
-def trivial_gate(gate):
-    """Configure a FusionGate as the x -> x*x reduction."""
-    c = gate.dwc_gate.weight.shape[0]
-    k = gate.kernel
-    gate.dwc_gate.weight.data[:] = delta_depthwise(c, k).data
-    gate.dwc_value.weight.data[:] = delta_depthwise(c, k).data
-    gate.pwc.weight.data[:] = np.eye(c).reshape(c, c, 1)
-    for conv in (gate.dwc_gate, gate.dwc_value, gate.pwc):
-        conv.bias.data[:] = 0.0
+def trivial_quarters(unit):
+    """Configure every quarter of a GatedUnit as the x -> x*x reduction."""
+    for dwc_gate, dwc_value, pwc in unit.quarters:
+        c, _, k = dwc_gate.weight.shape
+        dwc_gate.weight.data[:] = delta_depthwise(c, k)
+        dwc_value.weight.data[:] = delta_depthwise(c, k)
+        pwc.weight.data[:] = np.eye(c).reshape(c, c, 1)
+        for conv in (dwc_gate, dwc_value, pwc):
+            conv.bias.data[:] = 0.0
 
 
 def test_gpgu_trivial_configuration_squares():
-    unit = GatedUnit(RNG, 8, KernelGroup())
-    for g in unit.gates:
-        trivial_gate(g)
+    unit = GatedUnit(RNG, 8, GpfcaConfig().kernel_group)
+    trivial_quarters(unit)
     x = Tensor(RNG.standard_normal((2, 8, 40)))
     assert np.abs(unit.forward(x).data - x.data ** 2).max() < 1e-13
 
 
 def test_gpgu_zero_input_with_zero_biases():
-    unit = GatedUnit(RNG, 8, KernelGroup())
+    unit = GatedUnit(RNG, 8, GpfcaConfig().kernel_group)
     out = unit.forward(Tensor(np.zeros((1, 8, 40))))
     assert np.all(out.data == 0.0)
 
 
 def test_gpgu_equals_stitched_fusion_gates():
-    unit = GatedUnit(RNG, 8, KernelGroup())
+    unit = GatedUnit(RNG, 8, GpfcaConfig().kernel_group)
     x = Tensor(RNG.standard_normal((1, 8, 40)))
     got = unit.forward(x).data
     parts = T.chunk(x, 4)
     want = np.concatenate(
-        [g.forward(p).data for g, p in zip(unit.gates, parts)], axis=1
+        [dfg_forward(p, *q).data for p, q in zip(parts, unit.quarters)], axis=1
     )
     assert np.array_equal(got, want)
 
 
 def test_gpgu_rejects_indivisible_channels():
     with pytest.raises(ShapeError):
-        GatedUnit(RNG, 6, KernelGroup())
+        GatedUnit(RNG, 6, GpfcaConfig().kernel_group)
+
+
+def test_gpgu_needs_one_size_per_quarter():
+    unit = GatedUnit(RNG, 8, (3, 11, 23))
+    with pytest.raises(ValueError):
+        unit.forward(Tensor(np.zeros((1, 8, 10))))
 
 
 def test_kernel_sets_same_params_different_outputs():
     sets = [(17, 17, 17, 17), (5, 15, 21, 27), (3, 11, 23, 31)]
-    units = []
-    for sizes in sets:
-        if sizes == (5, 15, 21, 27):  # contains composites
-            with pytest.warns(UserWarning):
-                kg = KernelGroup(sizes)
-        else:
-            kg = KernelGroup(sizes)
-        units.append(GatedUnit(np.random.default_rng(0), 8, kg))
+    units = [GatedUnit(np.random.default_rng(0), 8, sizes) for sizes in sets]
     counts = {sum(k for k in s) for s in sets}  # all 68: same weight volume
     assert len(counts) == 1
     params = {u.param_count() for u in units}
@@ -229,8 +197,8 @@ def test_kernel_sets_same_params_different_outputs():
 
 
 def test_permuted_kernel_group_changes_output():
-    base = GatedUnit(np.random.default_rng(0), 8, KernelGroup((3, 11, 23, 31)))
-    perm = GatedUnit(np.random.default_rng(0), 8, KernelGroup((11, 3, 31, 23)))
+    base = GatedUnit(np.random.default_rng(0), 8, (3, 11, 23, 31))
+    perm = GatedUnit(np.random.default_rng(0), 8, (11, 3, 31, 23))
     x = Tensor(RNG.standard_normal((1, 8, 64)))
     assert np.abs(base.forward(x).data - perm.forward(x).data).max() > 1e-6
 
@@ -255,8 +223,7 @@ def test_ffn_identity_bookends_with_trivial_gates_square():
     ffn.expand.bias.data[:] = 0.0
     ffn.fuse.weight.data[:] = np.eye(8).reshape(8, 8, 1)
     ffn.fuse.bias.data[:] = 0.0
-    for g in ffn.gpgu.gates:
-        trivial_gate(g)
+    trivial_quarters(ffn.gpgu)
     x = Tensor(RNG.standard_normal((1, 8, 40)))
     assert np.abs(ffn.forward(x).data - x.data ** 2).max() < 1e-13
 
@@ -278,6 +245,78 @@ def test_gpfca_is_identity_at_init():
     blk = GpfcaBlock(RNG, GpfcaConfig(channels=8, ffn_expansion=2))
     x = Tensor(RNG.standard_normal((2, 8, 20)))
     assert np.array_equal(blk.forward(x).data, x.data)
+
+
+def test_sca_zero_pwc_annihilates():
+    # a zero SCA conv zeroes the attention branch: with zero biases on the
+    # branch's convs and a zero FFN scale, the block is the identity for
+    # any scale1
+    blk = GpfcaBlock(RNG, GpfcaConfig(channels=8, ffn_expansion=2))
+    blk.sca.weight.data[:] = 0.0
+    blk.scale1.data[:] = RNG.standard_normal(8)
+    x = Tensor(RNG.standard_normal((2, 8, 20)))
+    assert np.array_equal(blk.forward(x).data, x.data)
+
+
+def test_sca_channel_mismatch_rejected():
+    # the SCA conv is attn_expansion * channels / 2 wide
+    blk = GpfcaBlock(RNG, GpfcaConfig(channels=8, ffn_expansion=2, attn_expansion=4))
+    assert blk.sca.weight.shape == (16, 16, 1)
+    with pytest.raises(ShapeError):
+        blk.sca.forward(Tensor(np.zeros((1, 8, 1))))
+
+
+def numpy_gpfca_block(p, x, eps):
+    """One GpfcaBlock forward in plain numpy from its parameter arrays `p`
+    (keyed by parameter name), with nested-loop convolutions."""
+
+    def conv(name, h, groups=1):
+        return naive_conv1d(h, p[name + ".weight"], p[name + ".bias"],
+                            1, 1, groups, True)
+
+    def layer_norm(name, h):
+        mu = h.mean(axis=1, keepdims=True)
+        var = h.var(axis=1, keepdims=True)
+        gain, bias = p[name + ".gain"], p[name + ".bias"]
+        return gain[:, None] * (h - mu) / np.sqrt(var + eps) + bias[:, None]
+
+    # attention sub-layer
+    h = conv("inflate", layer_norm("norm1", x))
+    h = conv("dwc", h, groups=h.shape[1])
+    half = h.shape[1] // 2
+    h = h[:, :half] * h[:, half:]
+    w = p["sca.weight"][:, :, 0]
+    h = h * (h.mean(axis=2) @ w.T + p["sca.bias"])[:, :, None]
+    x = x + p["scale1"][:, None] * conv("project", h)
+    # gated feed-forward sub-layer
+    h = conv("ffn.expand", layer_norm("norm2", x))
+    q = h.shape[1] // 4
+    parts = []
+    for i in range(4):
+        hq = h[:, i * q:(i + 1) * q]
+        gate = conv(f"ffn.gpgu.dwc_gate{i}", hq, groups=q)
+        value = conv(f"ffn.gpgu.dwc_value{i}", hq, groups=q)
+        parts.append(conv(f"ffn.gpgu.pwc{i}", gate) * value)
+    h = conv("ffn.fuse", np.concatenate(parts, axis=1))
+    return x + p["scale2"][:, None] * h
+
+
+def test_gpfca_block_matches_numpy_reference():
+    rng = np.random.default_rng(12)
+    cfg = GpfcaConfig(channels=8, ffn_expansion=2, attn_expansion=2)
+    blk = GpfcaBlock(rng, cfg)
+    params = blk.named_params()
+    for t in params.values():
+        if t.ndim == 1:
+            # scale1 and scale2 start at zero, which makes the block a skip;
+            # biases start at zero and norm gains at one
+            t.data += 0.5 * rng.standard_normal(t.shape)
+    x = rng.standard_normal((2, 8, 40))
+    got = blk.forward(Tensor(x)).data
+    want = numpy_gpfca_block({n: t.data for n, t in params.items()}, x,
+                             cfg.norm_eps)
+    assert np.abs(want - x).max() > 1.0
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_gpfca_gradients_match_finite_differences():

@@ -80,6 +80,14 @@ def test_malformed_value_is_exit_2_naming_the_key(tmp_path, capsys):
     assert "spectro.center" in err
 
 
+@pytest.mark.parametrize("sizes", ["3,4,7,11", "3,11,23"])
+def test_bad_kernel_group_is_exit_2_naming_the_key(tmp_path, capsys, sizes):
+    path = write_config(tmp_path, **{"gpfca.kernel_group": sizes})
+    code, _, err = run(capsys, "--config", path, "analyze")
+    assert code == 2
+    assert "gpfca.kernel_group" in err
+
+
 def test_selftest_all_checks_pass(capsys):
     code, out, _ = run(capsys, "--config", "tiny", "selftest")
     assert code == 0
@@ -141,7 +149,7 @@ def test_gradcheck_blocks_pass_and_are_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "FAIL" not in out1
-    for name in ("channel_attention", "gated_unit", "gpfca_block",
+    for name in ("gated_unit", "gpfca_block",
                  "dense_ddb", "dense_dsddb", "mask_decoder", "phase_decoder"):
         assert name in out1
 
