@@ -31,7 +31,6 @@ class GpfcaConfig:
     """Hyperparameters of one GPFCA block; kernel_group holds the depthwise
     kernel size of each channel quarter of the gated unit."""
 
-    channels: int = 64
     kernel_group: tuple = (3, 11, 23, 31)
     ffn_expansion: int = 12
     attn_expansion: int = 2
@@ -53,18 +52,11 @@ class GpfcaConfig:
             )
         if self.ffn_expansion < 1:
             raise ValueError("ffn_expansion must be >= 1")
-        hidden = self.ffn_expansion * self.channels
-        if hidden % 4 != 0:
-            raise ValueError(
-                f"hidden width {hidden} (= expansion * channels) must be "
-                "divisible by 4 for channel chunking"
-            )
 
 
 @dataclass(frozen=True)
 class DenseBlockSpec:
     depth: int = 4
-    channels: int = 64
     kernel: int = 3
     dilations: tuple = None
     variant: str = "DSDDB"
@@ -94,15 +86,11 @@ class ModelConfig:
     identity_mode: bool = False
 
     def __post_init__(self):
-        if self.gpfca.channels != self.channels:
+        hidden = self.gpfca.ffn_expansion * self.channels
+        if hidden % 4 != 0:
             raise ValueError(
-                f"gpfca channels {self.gpfca.channels} != model channels "
-                f"{self.channels}"
-            )
-        if self.dense.channels != self.channels:
-            raise ValueError(
-                f"dense block channels {self.dense.channels} != model channels "
-                f"{self.channels}"
+                f"hidden width {hidden} (= gpfca.ffn_expansion * model.channels) "
+                "must be divisible by 4 for channel chunking"
             )
 
 
@@ -235,9 +223,9 @@ class GatedUnit(Module):
 class FeedForward(Module):
     """Pointwise expansion -> grouped multi-scale gating -> pointwise fusion."""
 
-    def __init__(self, rng, cfg):
+    def __init__(self, rng, channels, cfg):
         super().__init__()
-        c = cfg.channels
+        c = channels
         hidden = cfg.ffn_expansion * c
         self.expand = self.child("expand", Conv(rng, ConvSpec(c, hidden, 1)))
         self.gpgu = self.child("gpgu", GatedUnit(rng, hidden, cfg.kernel_group))
@@ -256,9 +244,9 @@ class GpfcaBlock(Module):
     (Chen et al., arXiv:2204.04676): h ⊙ PWC(mean over time of h).
     """
 
-    def __init__(self, rng, cfg):
+    def __init__(self, rng, channels, cfg):
         super().__init__()
-        c = cfg.channels
+        c = channels
         wide = cfg.attn_expansion * c
         self.norm1 = self.child("norm1", Norm(c, axes=(1,), eps=cfg.norm_eps))
         self.inflate = self.child("inflate", Conv(rng, ConvSpec(c, wide, 1)))
@@ -269,7 +257,7 @@ class GpfcaBlock(Module):
         self.project = self.child("project", Conv(rng, ConvSpec(wide // 2, c, 1)))
         self.scale1 = self.param("scale1", _zeros(c))
         self.norm2 = self.child("norm2", Norm(c, axes=(1,), eps=cfg.norm_eps))
-        self.ffn = self.child("ffn", FeedForward(rng, cfg))
+        self.ffn = self.child("ffn", FeedForward(rng, c, cfg))
         self.scale2 = self.param("scale2", _zeros(c))
 
     def forward(self, x):
@@ -320,10 +308,11 @@ class DenseBlock(Module):
     depthwise dilated convolution followed by a pointwise one.
     """
 
-    def __init__(self, rng, spec):
+    def __init__(self, rng, channels, spec):
         super().__init__()
         self.spec = spec
-        c, k = spec.channels, spec.kernel
+        self.channels = channels
+        c, k = channels, spec.kernel
         self.layers = []
         for i, d in enumerate(spec.dilations, start=1):
             cin = i * c
@@ -352,7 +341,7 @@ class Encoder(Module):
         super().__init__()
         c = cfg.channels
         self.stem = self.child("stem", ConvStage(rng, [ConvSpec(2, c, (1, 1))]))
-        self.dense = self.child("dense", DenseBlock(rng, cfg.dense))
+        self.dense = self.child("dense", DenseBlock(rng, c, cfg.dense))
         self.down = self.child(
             "down", ConvStage(rng, [ConvSpec(c, c, (3, 3), stride=(1, 2))])
         )
@@ -365,7 +354,7 @@ class _DecoderCore(Module):
     def __init__(self, rng, cfg):
         super().__init__()
         c = cfg.channels
-        self.dense = self.child("dense", DenseBlock(rng, cfg.dense))
+        self.dense = self.child("dense", DenseBlock(rng, c, cfg.dense))
         self.stage = self.child("stage", ConvStage(rng, [ConvSpec(c, c, (3, 3))]))
 
     def forward(self, h, f_target):
@@ -443,7 +432,8 @@ class EnhancementModel(Module):
         self.ts_blocks = []
         for i in range(2 * cfg.ts_block_count):
             axis = "time" if i % 2 == 0 else "freq"
-            blk = self.child(f"ts{i}_{axis}", GpfcaBlock(rng, cfg.gpfca))
+            blk = self.child(f"ts{i}_{axis}",
+                             GpfcaBlock(rng, cfg.channels, cfg.gpfca))
             self.ts_blocks.append((axis, blk))
         self.mask_decoder = self.child("mask_decoder", MaskDecoder(rng, cfg))
         self.phase_decoder = self.child("phase_decoder", PhaseDecoder(rng, cfg))

@@ -44,16 +44,16 @@ def cmd_analyze(cfg, args):
     frames = args.frames or sp.frame_count(sp.segment_samples)
     report = X.measure(model, sp, frames, sp.bins)
 
-    d = cfg.model.dense
-    p_ddb = X.params_ddb(d.depth, d.channels, d.kernel)
-    p_dsddb = X.params_dsddb(d.depth, d.channels, d.kernel)
+    d, c = cfg.model.dense, cfg.model.channels
+    p_ddb = X.params_ddb(d.depth, c, d.kernel)
+    p_dsddb = X.params_dsddb(d.depth, c, d.kernel)
     ratio = p_dsddb / p_ddb
     total_macs = report.entries[-1].measured_macs
 
     if args.json:
         payload = json.loads(report.to_json())
         payload["dense_comparison"] = {
-            "depth": d.depth, "channels": d.channels, "kernel": d.kernel,
+            "depth": d.depth, "channels": c, "kernel": d.kernel,
             "params_ddb": p_ddb, "params_dsddb": p_dsddb, "ratio": ratio,
         }
         payload["total_macs"] = total_macs
@@ -62,7 +62,7 @@ def cmd_analyze(cfg, args):
     else:
         print(report.to_text())
         print()
-        print(f"dense variants at (n={d.depth}, C={d.channels}, K={d.kernel}):")
+        print(f"dense variants at (n={d.depth}, C={c}, K={d.kernel}):")
         print(f"  params_ddb   = {p_ddb}")
         print(f"  params_dsddb = {p_dsddb}")
         print(f"  params_dsddb/params_ddb = {p_dsddb}/{p_ddb} = {100 * ratio:.2f}%")
@@ -123,10 +123,10 @@ def _block_cases(cfg, rng):
     t_len, f_len = 6, 5
     g = cfg.model.gpfca
     small_gpfca = B.GpfcaConfig(
-        channels=c, kernel_group=g.kernel_group, ffn_expansion=2,
+        kernel_group=g.kernel_group, ffn_expansion=2,
         attn_expansion=g.attn_expansion,
     )
-    dense = B.DenseBlockSpec(depth=2, channels=c, dilations=(1, 2),
+    dense = B.DenseBlockSpec(depth=2, dilations=(1, 2),
                              variant=cfg.model.dense.variant)
     model_cfg = B.ModelConfig(
         channels=c, dense=dense, gpfca=small_gpfca, ts_block_count=1,
@@ -143,13 +143,13 @@ def _block_cases(cfg, rng):
 
     cases = [
         case("gated_unit", B.GatedUnit(rng, c, g.kernel_group), seq),
-        case("feed_forward", B.FeedForward(rng, small_gpfca), seq),
-        case("gpfca_block", B.GpfcaBlock(rng, small_gpfca), seq),
+        case("feed_forward", B.FeedForward(rng, c, small_gpfca), seq),
+        case("gpfca_block", B.GpfcaBlock(rng, c, small_gpfca), seq),
     ]
     for variant in ("DDB", "DSDDB"):
-        spec = B.DenseBlockSpec(depth=2, channels=c, dilations=(1, 2),
-                                variant=variant)
-        cases.append(case(f"dense_{variant.lower()}", B.DenseBlock(rng, spec), grid))
+        spec = B.DenseBlockSpec(depth=2, dilations=(1, 2), variant=variant)
+        cases.append(case(f"dense_{variant.lower()}", B.DenseBlock(rng, c, spec),
+                          grid))
     cases.append(case("mask_decoder", B.MaskDecoder(rng, model_cfg), grid,
                       2 * f_len - 1))
     cases.append(case("phase_decoder", B.PhaseDecoder(rng, model_cfg), grid,
@@ -210,8 +210,8 @@ def cmd_bench_memory(cfg, args):
     rng = np.random.default_rng(args.seed)
     c = 16
     g = cfg.model.gpfca
-    gpfca = B.GpfcaBlock(rng, B.GpfcaConfig(
-        channels=c, kernel_group=g.kernel_group, ffn_expansion=2))
+    gpfca = B.GpfcaBlock(rng, c, B.GpfcaConfig(
+        kernel_group=g.kernel_group, ffn_expansion=2))
     attn = B.AttentionReference(rng, c)
 
     seq_bytes, attn_bytes = [], []
@@ -358,10 +358,10 @@ def cmd_selftest(cfg, args):
     snr = 10 * np.log10(np.sum(wave.data ** 2) / max(err, 1e-300))
     checks.append((f"analysis/synthesis roundtrip {snr:.0f} dB", snr > 60))
 
-    d = cfg.model.dense
-    blk = B.DenseBlock(np.random.default_rng(0), d)
+    d, c = cfg.model.dense, cfg.model.channels
+    blk = B.DenseBlock(np.random.default_rng(0), c, d)
     expect = (X.params_ddb if d.variant == "DDB" else X.params_dsddb)(
-        d.depth, d.channels, d.kernel)
+        d.depth, c, d.kernel)
     checks.append(("dense-block weight count matches formula",
                    blk.conv_weight_count() == expect))
 

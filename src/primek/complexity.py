@@ -69,7 +69,7 @@ def params_dsddb(n, c, k):
 
 def measure_block_macs(block, t, f):
     """Run a dense block on zeros of [1, C, t, f] and read the MAC counter."""
-    x = Tensor(np.zeros((1, block.spec.channels, t, f)))
+    x = Tensor(np.zeros((1, block.channels, t, f)))
     with no_grad(), count_macs() as rec:
         block.forward(x)
     return rec.macs
@@ -152,14 +152,14 @@ class ComplexityReport:
 
 
 def dense_block_entry(name, block, t, f):
-    spec = block.spec
+    spec, c = block.spec, block.channels
     analytic_fn = macs_ddb if spec.variant == "DDB" else macs_dsddb
     params_fn = params_ddb if spec.variant == "DDB" else params_dsddb
     return ReportEntry(
         name=name,
-        analytic_macs=analytic_fn(spec.depth, spec.channels, spec.kernel, t, f),
+        analytic_macs=analytic_fn(spec.depth, c, spec.kernel, t, f),
         measured_macs=measure_block_macs(block, t, f),
-        analytic_params=params_fn(spec.depth, spec.channels, spec.kernel),
+        analytic_params=params_fn(spec.depth, c, spec.kernel),
         measured_params=block.conv_weight_count(),
         full_params=block.param_count(),
     )

@@ -44,12 +44,11 @@ class RunConfig:
 
 def tiny_run_config():
     """Desk-scale defaults: small model, short segments, fast steps."""
-    channels = 8
     return RunConfig(
         model=ModelConfig(
-            channels=channels,
-            dense=DenseBlockSpec(depth=2, channels=channels, dilations=(1, 2)),
-            gpfca=GpfcaConfig(channels=channels, ffn_expansion=2),
+            channels=8,
+            dense=DenseBlockSpec(depth=2, dilations=(1, 2)),
+            gpfca=GpfcaConfig(ffn_expansion=2),
             ts_block_count=1,
         ),
         spectro=SpectroConfig(
@@ -87,8 +86,7 @@ _TOP_LEVEL = {
     "train.steps": ("train_steps",),
     "train.batch_size": ("batch_size",),
 }
-# fields that are not keys: ModelConfig requires both to equal model.channels
-_DERIVED = {"dense.channels": "model.channels", "gpfca.channels": "model.channels"}
+_SECTION_OF = {path: section for section, path in _SECTIONS.items()}
 
 
 def _field_paths(cfg):
@@ -111,8 +109,8 @@ def _fmt(v):
 
 def dump(cfg):
     """Canonical flat text form of a RunConfig (sorted keys)."""
-    pairs = {key: reduce(getattr, path, cfg) for key, path in _field_paths(cfg).items()
-             if key not in _DERIVED}
+    pairs = {key: reduce(getattr, path, cfg)
+             for key, path in _field_paths(cfg).items()}
     return "\n".join(f"{k} = {_fmt(v)}" for k, v in sorted(pairs.items())) + "\n"
 
 
@@ -172,7 +170,8 @@ def parse(text):
 
 def _construct(proto, path, values):
     """A copy of dataclass `proto` (at `path` in RunConfig) built from the
-    given field values; every other field keeps its dataclass default."""
+    given field values; every other field keeps its dataclass default. A
+    value the dataclass rejects is reported with the section's name."""
     kwargs = {}
     for f in fields(proto):
         sub = (*path, f.name)
@@ -180,7 +179,10 @@ def _construct(proto, path, values):
             kwargs[f.name] = values[sub]
         elif sub in _SECTIONS.values():
             kwargs[f.name] = _construct(getattr(proto, f.name), sub, values)
-    return type(proto)(**kwargs)
+    try:
+        return type(proto)(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"section {_SECTION_OF[path]!r}: {exc}") from exc
 
 
 def build(pairs):
@@ -188,7 +190,7 @@ def build(pairs):
     base = RunConfig()
     paths = _field_paths(base)
     for key in pairs:
-        if key not in paths or key in _DERIVED:
+        if key not in paths:
             raise ConfigError("unknown configuration key", key=key)
     values = {}
     for key, raw in pairs.items():
@@ -196,13 +198,7 @@ def build(pairs):
             values[paths[key]] = _parse_value(raw, reduce(getattr, paths[key], base))
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), key=key) from exc
-    for key, source in _DERIVED.items():
-        if paths[source] in values:
-            values[paths[key]] = values[paths[source]]
-    try:
-        cfg = _construct(base, (), values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _construct(base, (), values)
     if cfg.loss_mode not in ("old", "new"):
         raise ConfigError("loss.mode must be 'old' or 'new'", key="loss.mode")
     return cfg

@@ -1,9 +1,10 @@
 """Dense tensor type with reverse-mode automatic differentiation.
 
 Everything downstream (convolutions, spectral transforms, blocks, losses)
-is built from the operations in this module. Values are numpy arrays;
-float64 is the default so that finite-difference verification has enough
-headroom, float32 is available as an opt-in speed mode.
+is built from the operations in this module. Values are numpy arrays in
+float64, which gives finite-difference verification enough headroom. It is
+the only supported dtype: there is no float32 mode yet, and float32 data
+passed through the model comes out float64.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ _TAG_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
 
 class ShapeError(ValueError):
     """Raised when tensor shapes are inconsistent for an operation."""
-
-
-class CorruptTensorError(ValueError):
-    """Raised by validate() when a tensor holds NaN or Inf."""
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +111,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def validate(self):
-        """Check every stored value is finite; raise with the first bad index."""
-        bad = ~np.isfinite(self.data)
-        if bad.any():
-            idx = tuple(
-                int(i)
-                for i in np.unravel_index(int(np.argmax(bad)), self.data.shape)
-            )
-            raise CorruptTensorError(
-                f"non-finite value {self.data[idx]!r} at index {idx} "
-                f"(total {int(bad.sum())} corrupt entries)"
-            )
-        return self
 
     # -- autograd -----------------------------------------------------------
 

@@ -311,16 +311,14 @@ def evaluate(model, spectro_cfg, clean, noisy):
     return si_snr(est, clean), si_snr(noisy, clean)
 
 
-def train_toy(model_cfg, spectro_cfg, task, steps, weights=None, mode="new",
-              opt_cfg=None, out_dir=".", batch_size=2, seed=None,
-              checkpoint_every=0, progress=None, config_hash=""):
+def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
+              batch_size, out_dir=".", seed=None, checkpoint_every=0,
+              progress=None, config_hash=""):
     """Seeded end-to-end training on the synthetic task.
 
     Writes an append-only per-step loss log and a final checkpoint; on
     divergence the last good checkpoint is kept and the error re-raised.
     """
-    weights = weights or L.LossWeights()
-    opt_cfg = opt_cfg or OptConfig()
     seed = task.seed if seed is None else seed
     model = EnhancementModel(model_cfg, seed=seed)
     params = model.named_params()

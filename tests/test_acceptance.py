@@ -53,9 +53,9 @@ def test_02_analytic_counts_match_instantiated_weights(capsys):
             for k in (3, 5):
                 for variant, formula in (("DDB", X.params_ddb),
                                          ("DSDDB", X.params_dsddb)):
-                    spec = B.DenseBlockSpec(depth=n, channels=c, kernel=k,
+                    spec = B.DenseBlockSpec(depth=n, kernel=k,
                                             dilations=(1,) * n, variant=variant)
-                    blk = B.DenseBlock(np.random.default_rng(0), spec)
+                    blk = B.DenseBlock(np.random.default_rng(0), c, spec)
                     ok = ok and blk.conv_weight_count() == formula(n, c, k)
                     checked += 1
     elapsed = time.time() - start
@@ -196,7 +196,7 @@ def test_07_activation_memory_scaling(capsys):
     start = time.time()
     rng = np.random.default_rng(2)
     c = 16
-    gpfca = B.GpfcaBlock(rng, B.GpfcaConfig(channels=c, ffn_expansion=2))
+    gpfca = B.GpfcaBlock(rng, c, B.GpfcaConfig(ffn_expansion=2))
     attn = B.AttentionReference(rng, c)
     lengths = [250, 500, 1000, 2000, 4000]
     seq_bytes, attn_bytes = [], []

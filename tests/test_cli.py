@@ -57,6 +57,9 @@ def test_unknown_preset_is_exit_2(capsys):
     assert code == 2
 
 
+MODEL_HASHES = {"default": "36880bab70701df2", "tiny": "3ad4cf2310301e72"}
+
+
 @pytest.mark.parametrize("preset, digest", [
     ("default", "f35937ffeadbb933"),
     ("tiny", "108546446af8b904"),
@@ -65,6 +68,8 @@ def test_preset_dump_roundtrips_and_hash_is_pinned(preset, digest):
     cfg = C.load(preset)
     assert C.build(C.parse(C.dump(cfg))) == cfg
     assert C.config_hash(cfg) == digest
+    # the hash a checkpoint records
+    assert C.model_hash(cfg) == MODEL_HASHES[preset]
 
 
 def test_partial_config_keeps_dataclass_defaults():
@@ -80,12 +85,21 @@ def test_malformed_value_is_exit_2_naming_the_key(tmp_path, capsys):
     assert "spectro.center" in err
 
 
-@pytest.mark.parametrize("sizes", ["3,4,7,11", "3,11,23"])
-def test_bad_kernel_group_is_exit_2_naming_the_key(tmp_path, capsys, sizes):
-    path = write_config(tmp_path, **{"gpfca.kernel_group": sizes})
+@pytest.mark.parametrize("overrides, named", [
+    ({"gpfca.kernel_group": "3,4,7,11"}, "gpfca.kernel_group"),
+    ({"gpfca.kernel_group": "3,11,23"}, "gpfca.kernel_group"),
+    ({"dense.depth": "0"}, "section 'dense'"),
+    ({"gpfca.ffn_expansion": "0"}, "section 'gpfca'"),
+    # hidden width 6 * 1 is not divisible by 4: a check across two sections
+    ({"model.channels": "6", "gpfca.ffn_expansion": "1"}, "section 'model'"),
+], ids=["3,4,7,11", "3,11,23", "dense.depth", "gpfca.ffn_expansion",
+        "hidden-width"])
+def test_bad_kernel_group_is_exit_2_naming_the_key(tmp_path, capsys, overrides,
+                                                   named):
+    path = write_config(tmp_path, **overrides)
     code, _, err = run(capsys, "--config", path, "analyze")
     assert code == 2
-    assert "gpfca.kernel_group" in err
+    assert named in err
 
 
 def test_selftest_all_checks_pass(capsys):

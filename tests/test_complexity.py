@@ -7,8 +7,6 @@ from primek.blocks import (
     DenseBlock,
     DenseBlockSpec,
     EnhancementModel,
-    GpfcaConfig,
-    ModelConfig,
     enhance,
 )
 from primek.complexity import (
@@ -126,21 +124,16 @@ def test_arguments_validated():
 def test_measured_equals_analytic_for_dense_blocks(variant, macs_fn, params_fn):
     for n in (1, 2, 3):
         for c in (4, 8):
-            spec = DenseBlockSpec(depth=n, channels=c, kernel=3,
-                                  dilations=(1,) * n, variant=variant)
-            blk = DenseBlock(RNG, spec)
+            spec = DenseBlockSpec(depth=n, kernel=3, dilations=(1,) * n,
+                                  variant=variant)
+            blk = DenseBlock(RNG, c, spec)
             t, f = 6, 5
             assert measure_block_macs(blk, t, f) == macs_fn(n, c, 3, t, f)
             assert blk.conv_weight_count() == params_fn(n, c, 3)
 
 
 def tiny_model():
-    cfg = ModelConfig(
-        channels=8,
-        dense=DenseBlockSpec(depth=2, channels=8, dilations=(1, 2)),
-        gpfca=GpfcaConfig(channels=8, ffn_expansion=2),
-        ts_block_count=1,
-    )
+    cfg = tiny_run_config().model
     return EnhancementModel(cfg, seed=0), cfg
 
 
@@ -196,8 +189,8 @@ def test_report_structure_and_json():
 
 
 def test_dense_block_entry_cross_checks():
-    spec = DenseBlockSpec(depth=2, channels=8, dilations=(1, 2), variant="DSDDB")
-    blk = DenseBlock(RNG, spec)
+    spec = DenseBlockSpec(depth=2, dilations=(1, 2), variant="DSDDB")
+    blk = DenseBlock(RNG, 8, spec)
     entry = dense_block_entry("dense", blk, 6, 5)
     assert entry.analytic_macs == entry.measured_macs == macs_dsddb(2, 8, 3, 6, 5)
     assert entry.analytic_params == entry.measured_params == params_dsddb(2, 8, 3)

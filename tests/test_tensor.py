@@ -8,7 +8,6 @@ import pytest
 from primek import tensor as T
 from primek.conv import ConvSpec, conv1d, conv2d
 from primek.tensor import (
-    CorruptTensorError,
     ShapeError,
     Tensor,
     load_tensor,
@@ -418,17 +417,8 @@ def test_scale_channels_matches_manual_broadcast():
 
 
 # ---------------------------------------------------------------------------
-# validation and instrumentation
+# instrumentation
 # ---------------------------------------------------------------------------
-
-def test_validate_finds_injected_nan():
-    data = RNG.standard_normal((4, 5))
-    t = Tensor(data)
-    t.validate()
-    t.data[2, 3] = np.nan
-    with pytest.raises(CorruptTensorError, match=r"\(2, 3\)"):
-        t.validate()
-
 
 def test_allocation_recorder_counts_tensor_bytes():
     with T.track_allocations() as rec:

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from primek import trainer
-from primek.blocks import DenseBlockSpec, EnhancementModel, GpfcaConfig, ModelConfig
+from primek.blocks import DenseBlockSpec, EnhancementModel
 from primek.config import tiny_run_config
 from primek.losses import LossWeights
 from primek.spectral import SpectroConfig
@@ -31,13 +33,15 @@ TINY_TASK_KW = dict(segment_samples=2048, train_size=8, eval_size=4)
 from primek.trainer import ToyTaskSpec
 
 
-def tiny_model_cfg():
-    return ModelConfig(
-        channels=8,
-        dense=DenseBlockSpec(depth=2, channels=8, dilations=(1, 2)),
-        gpfca=GpfcaConfig(channels=8, ffn_expansion=2),
-        ts_block_count=1,
-    )
+TINY_RUN = tiny_run_config()
+TINY_MODEL = TINY_RUN.model
+
+
+def train_tiny(task, steps, out_dir, **kw):
+    """train_toy with the tiny preset's model, loss and optimizer settings."""
+    return train_toy(TINY_MODEL, TINY_SP, task, steps, weights=TINY_RUN.weights,
+                     mode=TINY_RUN.loss_mode, opt_cfg=TINY_RUN.opt,
+                     batch_size=TINY_RUN.batch_size, out_dir=out_dir, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +190,10 @@ def test_si_snr_degenerate_error_is_capped():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_roundtrip(tmp_path):
-    model = EnhancementModel(tiny_model_cfg(), seed=1)
+    model = EnhancementModel(TINY_MODEL, seed=1)
     path = tmp_path / "ckpt"
     save_checkpoint(path, model, step=17, seed=1, config_hash="abc")
-    other = EnhancementModel(tiny_model_cfg(), seed=99)
+    other = EnhancementModel(TINY_MODEL, seed=99)
     meta = load_checkpoint(path, other)
     assert meta["step"] == "17"
     assert meta["config_hash"] == "abc"
@@ -198,7 +202,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_hash_mismatch_rejected(tmp_path):
-    model = EnhancementModel(tiny_model_cfg(), seed=1)
+    model = EnhancementModel(TINY_MODEL, seed=1)
     path = tmp_path / "ckpt"
     save_checkpoint(path, model, step=0, seed=1, config_hash="abc")
     with pytest.raises(ValueError, match="hash"):
@@ -208,36 +212,31 @@ def test_checkpoint_hash_mismatch_rejected(tmp_path):
 @pytest.mark.parametrize("expect_hash", ["abc", "d5f85168c9ced196"])
 def test_checkpoint_without_hash_loads_under_any_expected_hash(tmp_path,
                                                                expect_hash):
-    model = EnhancementModel(tiny_model_cfg(), seed=1)
+    model = EnhancementModel(TINY_MODEL, seed=1)
     path = tmp_path / "ckpt"
     save_checkpoint(path, model, step=0, seed=1)
-    meta = load_checkpoint(path, EnhancementModel(tiny_model_cfg(), seed=2),
+    meta = load_checkpoint(path, EnhancementModel(TINY_MODEL, seed=2),
                            expect_hash=expect_hash)
     assert meta["config_hash"] == ""
 
 
 def test_checkpoint_model_mismatch_rejected(tmp_path):
-    model = EnhancementModel(tiny_model_cfg(), seed=1)
+    model = EnhancementModel(TINY_MODEL, seed=1)
     path = tmp_path / "ckpt"
     save_checkpoint(path, model, step=0, seed=1)
-    bigger = ModelConfig(
-        channels=8,
-        dense=DenseBlockSpec(depth=3, channels=8, dilations=(1, 2, 4)),
-        gpfca=GpfcaConfig(channels=8, ffn_expansion=2),
-        ts_block_count=1,
-    )
+    bigger = replace(TINY_MODEL, dense=DenseBlockSpec(depth=3, dilations=(1, 2, 4)))
     with pytest.raises(ValueError, match="mismatch"):
         load_checkpoint(path, EnhancementModel(bigger, seed=1))
 
 
 def test_missing_checkpoint_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_checkpoint(tmp_path / "nope", EnhancementModel(tiny_model_cfg()))
+        load_checkpoint(tmp_path / "nope", EnhancementModel(TINY_MODEL))
 
 
 def test_save_interrupted_between_renames_keeps_previous_checkpoint(
         tmp_path, monkeypatch):
-    model = EnhancementModel(tiny_model_cfg(), seed=1)
+    model = EnhancementModel(TINY_MODEL, seed=1)
     path = tmp_path / "ckpt"
     save_checkpoint(path, model, step=1, seed=1)
     rename = trainer.os.rename
@@ -254,7 +253,7 @@ def test_save_interrupted_between_renames_keeps_previous_checkpoint(
         save_checkpoint(path, model, step=2, seed=1)
     monkeypatch.setattr(trainer.os, "rename", rename)
     assert not path.exists()
-    fresh = EnhancementModel(tiny_model_cfg(), seed=2)
+    fresh = EnhancementModel(TINY_MODEL, seed=2)
     assert load_checkpoint(path, fresh)["step"] == "1"
 
     save_checkpoint(path, model, step=3, seed=1)
@@ -267,7 +266,7 @@ def test_save_interrupted_between_renames_keeps_previous_checkpoint(
 # ---------------------------------------------------------------------------
 
 def test_step_losses_components_present():
-    model = EnhancementModel(tiny_model_cfg(), seed=0)
+    model = EnhancementModel(TINY_MODEL, seed=0)
     task = ToyTaskSpec(**TINY_TASK_KW)
     (clean, noisy), _ = make_dataset(task)
     total, comps = step_losses(model, TINY_SP, clean[:2], noisy[:2],
@@ -281,10 +280,9 @@ def test_step_losses_components_present():
 
 def test_zero_steps_writes_initial_checkpoint_only(tmp_path):
     task = ToyTaskSpec(**TINY_TASK_KW)
-    result = train_toy(tiny_model_cfg(), TINY_SP, task, steps=0,
-                       out_dir=str(tmp_path / "run"))
+    result = train_tiny(task, 0, str(tmp_path / "run"))
     assert result.losses == []
-    other = EnhancementModel(tiny_model_cfg(), seed=task.seed)
+    other = EnhancementModel(TINY_MODEL, seed=task.seed)
     meta = load_checkpoint(result.checkpoint, other)
     assert meta["step"] == "0"
 
@@ -293,17 +291,15 @@ def test_each_checkpoint_step_is_written_once(tmp_path, monkeypatch):
     saved = []
     monkeypatch.setattr(trainer, "save_checkpoint",
                         lambda path, model, step, **kw: saved.append(step))
-    train_toy(tiny_model_cfg(), TINY_SP, ToyTaskSpec(**TINY_TASK_KW), steps=4,
-              out_dir=str(tmp_path / "run"), checkpoint_every=2)
+    train_tiny(ToyTaskSpec(**TINY_TASK_KW), 4, str(tmp_path / "run"),
+               checkpoint_every=2)
     assert saved == [0, 2, 4]
 
 
 def test_short_training_is_deterministic_and_logged(tmp_path):
     task = ToyTaskSpec(**TINY_TASK_KW)
-    r1 = train_toy(tiny_model_cfg(), TINY_SP, task, steps=4,
-                   out_dir=str(tmp_path / "a"))
-    r2 = train_toy(tiny_model_cfg(), TINY_SP, task, steps=4,
-                   out_dir=str(tmp_path / "b"))
+    r1 = train_tiny(task, 4, str(tmp_path / "a"))
+    r2 = train_tiny(task, 4, str(tmp_path / "b"))
     assert r1.losses == r2.losses
     p1 = r1.model.named_params()
     p2 = r2.model.named_params()
