@@ -115,25 +115,18 @@ def consistency_loss(est_spec, target_len=None):
     return T.mean_all(T.mul(diff, diff))
 
 
-def total_loss(mode, weights, magnitude=None, phase=None, complex_=None,
+def total_loss(weights, magnitude=None, phase=None, complex_=None,
                time=None, consistency=None):
-    """Weighted sum of the component losses.
-
-    mode "old" uses the time term and drops consistency; mode "new" does
-    the opposite. Missing components are treated as zero contributions.
-    """
-    if mode not in ("old", "new"):
-        raise ValueError(f"unknown loss mode {mode!r}")
+    """Weighted sum of the component losses that are given, in the order
+    magnitude, phase, complex, time, consistency."""
     total = Tensor(np.zeros(()))
     pairs = [
         (weights.magnitude, magnitude),
         (weights.phase, phase),
         (weights.complex, complex_),
+        (weights.time, time),
+        (weights.consistency, consistency),
     ]
-    if mode == "old":
-        pairs.append((weights.time, time))
-    else:
-        pairs.append((weights.consistency, consistency))
     for w, comp in pairs:
         if w != 0.0 and comp is not None:
             total = T.add(total, T.mul_scalar(comp, w))

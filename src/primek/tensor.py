@@ -9,17 +9,11 @@ passed through the model comes out float64.
 
 from __future__ import annotations
 
-import struct
 from contextlib import contextmanager
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
-
-_MAGIC = b"PKTN"
-_FORMAT_VERSION = 1
-_DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_TAG_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
 
 
 class ShapeError(ValueError):
@@ -466,42 +460,3 @@ def repeat_axis(x, axis, times):
 def stack(parts, axis=1):
     expanded = [reshape(p, p.shape[:axis] + (1,) + p.shape[axis:]) for p in parts]
     return concat(expanded, axis=axis)
-
-
-# ---------------------------------------------------------------------------
-# serialization: flat binary container
-# ---------------------------------------------------------------------------
-
-def save_tensor(path, tensor):
-    data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
-    dtype = np.dtype(data.dtype)
-    if dtype not in _DTYPE_TAGS:
-        raise ValueError(f"unsupported dtype {dtype}")
-    header = _MAGIC + struct.pack("<II", _FORMAT_VERSION, data.ndim)
-    header += struct.pack(f"<{data.ndim}Q", *data.shape)
-    header += struct.pack("<I", _DTYPE_TAGS[dtype])
-    payload = np.ascontiguousarray(data).astype(dtype.newbyteorder("<")).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
-
-
-def load_tensor(path, requires_grad=False):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}")
-    version, rank = struct.unpack_from("<II", blob, 4)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    off = 12
-    extents = struct.unpack_from(f"<{rank}Q", blob, off)
-    off += 8 * rank
-    (tag,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if tag not in _TAG_DTYPES:
-        raise ValueError(f"{path}: unknown dtype tag {tag}")
-    dtype = _TAG_DTYPES[tag]
-    count = int(np.prod(extents)) if rank else 1
-    arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=off)
-    arr = arr.astype(dtype).reshape(extents)
-    return Tensor(arr, requires_grad=requires_grad, dtype=dtype)

@@ -7,8 +7,9 @@ at a random SNR. Everything is reproducible from the seed alone.
 
 from __future__ import annotations
 
+import json
+import math
 import os
-import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import losses as L
 from . import tensor as T
 from .blocks import EnhancementModel, enhance
 from .spectral import Spectrogram, SpectroConfig, compress, decompress, istft, stft
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import Tensor
 
 
 class TrainingDiverged(RuntimeError):
@@ -181,83 +182,95 @@ def si_snr(est, ref):
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def _swap_dirs(path):
-    """The temporary and the previous directory of checkpoint `path`."""
-    parent, name = os.path.split(os.path.abspath(path))
-    return (os.path.join(parent, f".ckpt-{name}.tmp"),
-            os.path.join(parent, f".ckpt-{name}.old"))
+_FIRST_LINE = b"PRIMEK-CHECKPOINT 1\n"
+_DTYPES = ("<f8", "<f4")
 
 
 def save_checkpoint(path, model, step, seed, config_hash=""):
-    """Directory checkpoint: manifest + one tensor container per parameter.
+    """One file: a magic line, an 8-byte little-endian header length, a JSON
+    header (config hash, step, seed, and each parameter's name, dtype and
+    shape in sorted-name order), then the parameters' raw bytes in that order.
 
     `config_hash` is the `config.model_hash` of the config the model was
-    built under; an empty one is accepted by any load. Written to a temp
-    directory first and swapped in by two renames; the previous checkpoint
-    is kept until the new one is in place, and `load_checkpoint` falls back
-    to it if a save is interrupted between the renames.
+    built under; an empty one is accepted by any load. The file is written
+    to `<path>.tmp` and swapped in by one `os.replace`, so a reader sees
+    either the previous checkpoint or the new one.
     """
-    path = str(path)
-    tmp, old = _swap_dirs(path)
-    shutil.rmtree(tmp, ignore_errors=True)  # left by an interrupted save
-    os.mkdir(tmp)
-    params = model.named_params()
-    lines = [f"config_hash = {config_hash}", f"step = {step}", f"seed = {seed}"]
-    for i, (name, p) in enumerate(sorted(params.items())):
-        fname = f"t{i:04d}.pktn"
-        save_tensor(os.path.join(tmp, fname), p)
-        lines.append(f"tensor.{name} = {fname}")
-    with open(os.path.join(tmp, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if os.path.isdir(path):
-        shutil.rmtree(old, ignore_errors=True)
-        os.rename(path, old)
-    os.rename(tmp, path)
-    shutil.rmtree(old, ignore_errors=True)
+    arrays = []
+    for name, p in sorted(model.named_params().items()):
+        a = np.ascontiguousarray(p.data, dtype=p.data.dtype.newbyteorder("<"))
+        if a.dtype.str not in _DTYPES:
+            raise ValueError(f"parameter {name}: unsupported dtype {a.dtype}")
+        arrays.append((name, a))
+    header = json.dumps({
+        "config_hash": config_hash, "step": int(step), "seed": int(seed),
+        "tensors": [[name, a.dtype.str, a.shape] for name, a in arrays],
+    }).encode()
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(_FIRST_LINE + len(header).to_bytes(8, "little") + header)
+        for _, a in arrays:
+            fh.write(a.data)
+    os.replace(tmp, path)
+
+
+def _read_checkpoint(path):
+    """The metadata strings and the named arrays of checkpoint file `path`;
+    malformed bytes raise OSError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(_FIRST_LINE):
+        raise OSError(f"{path}: not a checkpoint file (bad magic)")
+    off = len(_FIRST_LINE) + 8
+    end = off + int.from_bytes(blob[len(_FIRST_LINE):off], "little")
+    try:
+        header = json.loads(blob[off:end])
+        meta = {k: str(header[k]) for k in ("config_hash", "step", "seed")}
+        entries = [(str(name), dtype, tuple(int(n) for n in shape))
+                   for name, dtype, shape in header["tensors"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise OSError(f"{path}: unreadable checkpoint header ({exc})") from exc
+    arrays = {}
+    for name, dtype, shape in entries:
+        if dtype not in _DTYPES or any(n < 0 for n in shape):
+            raise OSError(f"{path}: parameter {name} has unsupported dtype "
+                          f"{dtype!r} or shape {shape}")
+        off, count = end, math.prod(shape)
+        end = off + count * np.dtype(dtype).itemsize
+        if end > len(blob):
+            raise OSError(f"{path}: truncated at parameter {name}")
+        arrays[name] = np.frombuffer(blob, dtype, count, off).reshape(shape)
+    if end != len(blob):
+        raise OSError(f"{path}: {len(blob) - end} bytes after the last parameter")
+    return meta, arrays
 
 
 def load_checkpoint(path, model, expect_hash=None):
-    path = str(path)
-    old = _swap_dirs(path)[1]
-    if not os.path.exists(path) and os.path.isdir(old):
-        path = old  # a save was interrupted between its two renames
-    manifest = os.path.join(path, "manifest.txt")
-    if not os.path.isfile(manifest):
-        raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
-    meta = {}
-    tensors = {}
-    with open(manifest) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key.startswith("tensor."):
-                tensors[key[len("tensor."):]] = value
-            else:
-                meta[key] = value
-    if expect_hash is not None and meta.get("config_hash") not in ("", expect_hash):
+    """Copy checkpoint `path` into the model's parameters and return its
+    `config_hash`, `step` and `seed` strings. A checkpoint of another config
+    or model raises ValueError; a file that is not a whole checkpoint raises
+    OSError."""
+    meta, arrays = _read_checkpoint(path)
+    if expect_hash is not None and meta["config_hash"] not in ("", expect_hash):
         raise ValueError(
-            f"checkpoint config hash {meta.get('config_hash')} does not match "
+            f"checkpoint config hash {meta['config_hash']} does not match "
             f"expected {expect_hash}"
         )
     params = model.named_params()
-    missing = set(params) - set(tensors)
-    extra = set(tensors) - set(params)
+    missing = set(params) - set(arrays)
+    extra = set(arrays) - set(params)
     if missing or extra:
         raise ValueError(
             f"checkpoint/model parameter mismatch: missing {sorted(missing)[:3]}, "
             f"unexpected {sorted(extra)[:3]}"
         )
-    for name, fname in tensors.items():
-        loaded = load_tensor(os.path.join(path, fname))
-        if loaded.shape != params[name].shape:
+    for name, a in arrays.items():
+        if a.shape != params[name].shape:
             raise ValueError(
-                f"parameter {name}: checkpoint shape {loaded.shape} != model "
+                f"parameter {name}: checkpoint shape {a.shape} != model "
                 f"shape {params[name].shape}"
             )
-        params[name].data[...] = loaded.data
+        params[name].data[...] = a
     return meta
 
 
@@ -274,7 +287,8 @@ class TrainResult:
 
 
 def step_losses(model, spectro_cfg, clean, noisy, weights, mode):
-    """Forward one batch and assemble the weighted loss."""
+    """Forward one batch and assemble the weighted loss: mode "old" adds
+    the time term to the spectral ones, mode "new" the consistency term."""
     clean_t = Tensor(clean)
     noisy_t = Tensor(noisy)
     n = clean.shape[1]
@@ -291,16 +305,14 @@ def step_losses(model, spectro_cfg, clean, noisy, weights, mode):
     }
     est_spec = decompress(est_spec_c)
     if mode == "old":
-        est_wave = istft(est_spec, n)
-        comps["time"] = L.time_loss(est_wave, clean_t)
-        total = L.total_loss("old", weights, magnitude=comps["mag"],
-                             phase=comps["pha"], complex_=comps["com"],
-                             time=comps["time"])
-    else:
+        comps["time"] = L.time_loss(istft(est_spec, n), clean_t)
+    elif mode == "new":
         comps["con"] = L.consistency_loss(est_spec, target_len=n)
-        total = L.total_loss("new", weights, magnitude=comps["mag"],
-                             phase=comps["pha"], complex_=comps["com"],
-                             consistency=comps["con"])
+    else:
+        raise ValueError(f"unknown loss mode {mode!r}")
+    total = L.total_loss(weights, magnitude=comps["mag"], phase=comps["pha"],
+                         complex_=comps["com"], time=comps.get("time"),
+                         consistency=comps.get("con"))
     return total, comps
 
 

@@ -29,6 +29,7 @@ RNG = np.random.default_rng(5)
 
 
 TINY_MODEL = tiny_run_config().model
+TINY_SP = tiny_run_config().spectro
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +453,7 @@ def test_model_shape_contract_full_geometry():
 def test_model_zero_input_is_bounded_and_finite():
     cfg = TINY_MODEL
     model = EnhancementModel(cfg, seed=0)
-    sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                       segment_seconds=0.128)
+    sp = TINY_SP
     spec = Spectrogram(Tensor(np.zeros((1, sp.bins, 17))),
                        Tensor(np.zeros((1, sp.bins, 17))), sp)
     with T.no_grad():
@@ -467,8 +467,7 @@ def test_model_zero_input_is_bounded_and_finite():
 def test_model_untrained_is_magnitude_and_phase_neutral():
     # zero-init mask head -> mask == 1; phase skip -> phase == input phase
     model = EnhancementModel(TINY_MODEL, seed=0)
-    sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                       segment_seconds=0.128)
+    sp = TINY_SP
     spec = stft(Tensor(RNG.standard_normal((1, 2048))), sp)
     with T.no_grad():
         mask, phase = model.forward(compress(spec))
@@ -487,8 +486,7 @@ def test_same_seed_gives_identical_parameters():
 def test_enhance_identity_mode_reconstructs():
     cfg = replace(TINY_MODEL, identity_mode=True)
     model = EnhancementModel(cfg, seed=0)
-    sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                       segment_seconds=0.128)
+    sp = TINY_SP
     x = RNG.standard_normal((1, 2048))
     with T.no_grad():
         out = enhance(Tensor(x), model, sp)
@@ -499,8 +497,7 @@ def test_enhance_identity_mode_reconstructs():
 
 def test_untrained_model_enhance_reconstructs():
     model = EnhancementModel(TINY_MODEL, seed=0)
-    sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                       segment_seconds=0.128)
+    sp = TINY_SP
     x = RNG.standard_normal((1, 2048))
     with T.no_grad():
         out = enhance(Tensor(x), model, sp)
@@ -509,8 +506,7 @@ def test_untrained_model_enhance_reconstructs():
 
 
 def test_zero_mask_silences_output():
-    sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                       segment_seconds=0.128)
+    sp = TINY_SP
     x = RNG.standard_normal((1, 2048))
     spec = compress(stft(Tensor(x), sp))
     est = decompress(Spectrogram(

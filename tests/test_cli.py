@@ -336,3 +336,35 @@ def test_enhance_rejects_checkpoint_with_another_model_key(
                        task_only_checkpoint)
     assert code == 2
     assert "hash" in err
+
+
+def _old_checkpoint_directory(path, raw):
+    """The manifest-plus-one-file-per-tensor layout of earlier versions."""
+    path.mkdir()
+    (path / "manifest.txt").write_text("config_hash = \nstep = 0\nseed = 0\n"
+                                       "tensor.mask_decoder.out.weight = t0000.pktn\n")
+    (path / "t0000.pktn").write_bytes(b"PKTN" + bytes(16))
+
+
+CORRUPT_CHECKPOINTS = {
+    "truncated": lambda path, raw: path.write_bytes(raw[:len(raw) // 2]),
+    "garbage": lambda path, raw: path.write_bytes(
+        np.random.default_rng(0).bytes(len(raw))),
+    "old_directory": _old_checkpoint_directory,
+}
+
+
+@pytest.mark.parametrize("write", CORRUPT_CHECKPOINTS.values(),
+                         ids=CORRUPT_CHECKPOINTS.keys())
+def test_enhance_corrupt_checkpoint_is_exit_3(task_only_checkpoint, tmp_path,
+                                              capsys, write):
+    src = make_wav(tmp_path / "in.wav")
+    ckpt = tmp_path / "ckpt"
+    with open(task_only_checkpoint, "rb") as fh:
+        write(ckpt, fh.read())
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code, _, err = run(capsys, "--config", "tiny", "enhance", src,
+                       str(tmp_path / "out.wav"), "--checkpoint", str(ckpt))
+    assert code == 3
+    assert "i/o error" in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files

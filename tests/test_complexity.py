@@ -24,10 +24,10 @@ from primek.complexity import (
     _model_macs_at,
 )
 from primek.config import default_run_config, tiny_run_config
-from primek.spectral import SpectroConfig
 from primek.tensor import Tensor, count_macs, no_grad
 
 RNG = np.random.default_rng(21)
+TINY_SP = tiny_run_config().spectro
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,7 @@ def test_param_counts_are_pinned(make_cfg, count):
 
 def test_model_macs_are_affine_in_frames():
     model, cfg = tiny_model()
-    sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                       segment_seconds=0.128)
+    sp = TINY_SP
     predicted = measure_model_macs(model, sp, 5, sp.bins)
     actual = _model_macs_at(model, 5, sp.bins)
     assert predicted == actual
@@ -170,8 +169,7 @@ def test_model_macs_are_affine_in_frames():
 
 def test_report_structure_and_json():
     model, cfg = tiny_model()
-    sp = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                       segment_seconds=0.128)
+    sp = TINY_SP
     report = measure(model, sp, frames=9, bins=sp.bins)
     names = [e.name for e in report.entries]
     assert names == ["encoder.dense", "mask_decoder.dense",

@@ -187,32 +187,32 @@ def scalar(v):
 
 def test_total_loss_zero_components():
     w = LossWeights()
-    out = total_loss("new", w, magnitude=scalar(0), phase=scalar(0),
-                     complex_=scalar(0), consistency=scalar(0))
+    out = total_loss(w, magnitude=scalar(0), phase=scalar(0),
+                     complex_=scalar(0), time=scalar(0), consistency=scalar(0))
     assert float(out.data) == 0.0
 
 
 def test_total_loss_single_component_scales_by_weight():
     w = LossWeights()
-    out = total_loss("new", w, magnitude=scalar(2.0))
+    out = total_loss(w, magnitude=scalar(2.0))
     assert np.isclose(float(out.data), w.magnitude * 2.0)
 
 
-def test_total_loss_mode_selects_time_or_consistency():
+def test_total_loss_sums_every_given_component():
     w = LossWeights()
-    old = total_loss("old", w, time=scalar(1.0), consistency=scalar(100.0))
-    new = total_loss("new", w, time=scalar(100.0), consistency=scalar(1.0))
-    assert np.isclose(float(old.data), w.time)
-    assert np.isclose(float(new.data), w.consistency)
-    with pytest.raises(ValueError):
-        total_loss("newest", w)
+    out = total_loss(w, magnitude=scalar(1.0), phase=scalar(2.0),
+                     complex_=scalar(3.0), time=scalar(4.0),
+                     consistency=scalar(5.0))
+    expect = (w.magnitude + 2 * w.phase + 3 * w.complex + 4 * w.time
+              + 5 * w.consistency)
+    assert np.isclose(float(out.data), expect)
 
 
 def test_total_loss_linear_in_components():
     w = LossWeights()
-    a = float(total_loss("old", w, magnitude=scalar(1.0), time=scalar(2.0)).data)
-    b = float(total_loss("old", w, magnitude=scalar(3.0), time=scalar(2.0)).data)
-    c = float(total_loss("old", w, magnitude=scalar(5.0), time=scalar(2.0)).data)
+    a = float(total_loss(w, magnitude=scalar(1.0), time=scalar(2.0)).data)
+    b = float(total_loss(w, magnitude=scalar(3.0), time=scalar(2.0)).data)
+    c = float(total_loss(w, magnitude=scalar(5.0), time=scalar(2.0)).data)
     assert np.isclose(b - a, c - b)
 
 

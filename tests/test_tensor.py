@@ -1,18 +1,11 @@
 import itertools
-import os
-import tempfile
 
 import numpy as np
 import pytest
 
 from primek import tensor as T
 from primek.conv import ConvSpec, conv1d, conv2d
-from primek.tensor import (
-    ShapeError,
-    Tensor,
-    load_tensor,
-    save_tensor,
-)
+from primek.tensor import ShapeError, Tensor
 
 RNG = np.random.default_rng(1234)
 
@@ -453,40 +446,3 @@ def test_nested_recorders_each_receive_every_event():
     assert outer.macs == inner.macs + 7
     assert outer.bytes_allocated == inner.bytes_allocated + 4 * 8
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_save_load_roundtrip(dtype, tmp_path):
-    data = RNG.standard_normal((3, 4, 5)).astype(dtype)
-    path = tmp_path / "t.pktn"
-    save_tensor(path, Tensor(data, dtype=dtype))
-    back = load_tensor(path)
-    assert back.dtype == dtype
-    assert np.array_equal(back.data, data)
-
-
-def test_save_load_scalar_and_header_layout(tmp_path):
-    path = tmp_path / "s.pktn"
-    save_tensor(path, Tensor(np.array(2.5)))
-    raw = path.read_bytes()
-    assert raw[:4] == b"PKTN"
-    assert np.array_equal(load_tensor(path).data, np.array(2.5))
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.pktn"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        load_tensor(path)
-
-
-def test_load_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "trunc.pktn"
-    save_tensor(path, Tensor(RNG.standard_normal((8, 8))))
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) - 16])
-    with pytest.raises(ValueError):
-        load_tensor(path)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,12 @@ from primek import trainer
 from primek.blocks import DenseBlockSpec, EnhancementModel
 from primek.config import tiny_run_config
 from primek.losses import LossWeights
-from primek.spectral import SpectroConfig
 from primek.tensor import Tensor
 from primek.trainer import (
     OptConfig,
     OptState,
     SI_SNR_CAP_DB,
+    ToyTaskSpec,
     TrainingDiverged,
     adamw_step,
     clip_grad_norm,
@@ -26,15 +27,11 @@ from primek.trainer import (
 
 RNG = np.random.default_rng(42)
 
-TINY_SP = SpectroConfig(fft_size=128, win_length=128, hop=32,
-                        segment_seconds=0.128)
 TINY_TASK_KW = dict(segment_samples=2048, train_size=8, eval_size=4)
-
-from primek.trainer import ToyTaskSpec
-
 
 TINY_RUN = tiny_run_config()
 TINY_MODEL = TINY_RUN.model
+TINY_SP = TINY_RUN.spectro
 
 
 def train_tiny(task, steps, out_dir, **kw):
@@ -234,25 +231,77 @@ def test_missing_checkpoint_raises(tmp_path):
         load_checkpoint(tmp_path / "nope", EnhancementModel(TINY_MODEL))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_checkpoint_roundtrip_keeps_dtype(tmp_path, dtype):
+    def model_of(seed):
+        model = EnhancementModel(TINY_MODEL, seed=seed)
+        for p in model.named_params().values():
+            p.data = RNG.standard_normal(p.shape).astype(dtype)
+        return model
+
+    model, other = model_of(1), model_of(2)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, model, step=0, seed=1)
+    assert np.dtype(dtype).str.encode() in path.read_bytes()
+    load_checkpoint(path, other)
+    for name, p in model.named_params().items():
+        q = other.named_params()[name]
+        assert q.dtype == dtype
+        assert np.array_equal(q.data, p.data)
+
+
+def test_checkpoint_is_one_file_with_json_header(tmp_path):
+    model = EnhancementModel(TINY_MODEL, seed=1)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, model, step=3, seed=1, config_hash="abc")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+    first, rest = path.read_bytes().split(b"\n", 1)
+    assert first == b"PRIMEK-CHECKPOINT 1"
+    size = int.from_bytes(rest[:8], "little")
+    header = json.loads(rest[8:8 + size])
+    assert (header["config_hash"], header["step"], header["seed"]) == ("abc", 3, 1)
+    params = model.named_params()
+    names = sorted(params)
+    assert header["tensors"] == [[n, "<f8", list(params[n].shape)] for n in names]
+    assert rest[8 + size:] == b"".join(params[n].data.tobytes() for n in names)
+
+
+MALFORMED = {
+    "wrong_magic": lambda raw: b"NOPE" + raw[4:],
+    "unreadable_header": lambda raw: raw.replace(b'{"config', b'["config', 1),
+    "integer_dtype": lambda raw: raw.replace(b'"<f8"', b'"<i8"', 1),
+    "truncated": lambda raw: raw[:-16],
+    "trailing_bytes": lambda raw: raw + b"\0",
+    "empty": lambda raw: b"",
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_checkpoint_raises_oserror_and_leaves_model(tmp_path, corrupt):
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, EnhancementModel(TINY_MODEL, seed=1), step=0, seed=1)
+    path.write_bytes(corrupt(path.read_bytes()))
+    other = EnhancementModel(TINY_MODEL, seed=2)
+    before = {k: p.data.copy() for k, p in other.named_params().items()}
+    with pytest.raises(OSError):
+        load_checkpoint(path, other)
+    for k, p in other.named_params().items():
+        assert np.array_equal(p.data, before[k])
+
+
 def test_save_interrupted_between_renames_keeps_previous_checkpoint(
         tmp_path, monkeypatch):
     model = EnhancementModel(TINY_MODEL, seed=1)
     path = tmp_path / "ckpt"
     save_checkpoint(path, model, step=1, seed=1)
-    rename = trainer.os.rename
-    calls = []
 
-    def crash_on_second(src, dst):
-        calls.append(src)
-        if len(calls) == 2:
-            raise OSError("interrupted")
-        rename(src, dst)
+    def crash(src, dst):
+        raise OSError("interrupted")
 
-    monkeypatch.setattr(trainer.os, "rename", crash_on_second)
+    monkeypatch.setattr(trainer.os, "replace", crash)
     with pytest.raises(OSError, match="interrupted"):
         save_checkpoint(path, model, step=2, seed=1)
-    monkeypatch.setattr(trainer.os, "rename", rename)
-    assert not path.exists()
+    monkeypatch.undo()
     fresh = EnhancementModel(TINY_MODEL, seed=2)
     assert load_checkpoint(path, fresh)["step"] == "1"
 
@@ -276,6 +325,19 @@ def test_step_losses_components_present():
     total_old, comps_old = step_losses(model, TINY_SP, clean[:2], noisy[:2],
                                        LossWeights(), mode="old")
     assert set(comps_old) == {"mag", "pha", "com", "time"}
+
+
+def test_step_losses_mode_selects_time_or_consistency():
+    model = EnhancementModel(TINY_MODEL, seed=0)
+    (clean, noisy), _ = make_dataset(ToyTaskSpec(**TINY_TASK_KW))
+    w = LossWeights(magnitude=0.0, phase=0.0, complex=0.0, time=1.0,
+                    consistency=2.0)
+    old, comps = step_losses(model, TINY_SP, clean[:2], noisy[:2], w, mode="old")
+    assert float(old.data) == float(comps["time"].data)
+    new, comps = step_losses(model, TINY_SP, clean[:2], noisy[:2], w, mode="new")
+    assert float(new.data) == 2.0 * float(comps["con"].data)
+    with pytest.raises(ValueError, match="loss mode"):
+        step_losses(model, TINY_SP, clean[:2], noisy[:2], w, mode="newest")
 
 
 def test_zero_steps_writes_initial_checkpoint_only(tmp_path):
