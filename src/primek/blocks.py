@@ -449,16 +449,15 @@ class EnhancementModel(Module):
         x = T.stack([T.transpose(mag, (0, 2, 1)), T.transpose(phase, (0, 2, 1))],
                     axis=1)  # [B, 2, T, F]
         h = self.encoder.forward(x)
-        b, c, t, f = h.shape
         for axis, blk in self.ts_blocks:
-            if axis == "time":
-                seq = T.reshape(T.transpose(h, (0, 3, 1, 2)), (b * f, c, t))
-                seq = blk.forward(seq)
-                h = T.transpose(T.reshape(seq, (b, f, c, t)), (0, 2, 3, 1))
-            else:
-                seq = T.reshape(T.transpose(h, (0, 2, 1, 3)), (b * t, c, f))
-                seq = blk.forward(seq)
-                h = T.transpose(T.reshape(seq, (b, t, c, f)), (0, 2, 1, 3))
+            # the block's sequences [rows, C, L] are stored channel-major, as
+            # [C, rows, L]: the reshape makes the one copy, the transposes are views
+            perm = (1, 0, 3, 2) if axis == "time" else (1, 0, 2, 3)  # self-inverse
+            cm = T.transpose(h, perm)  # [C, B, F, T] for time, [C, B, T, F] for freq
+            c, b, n, length = cm.shape
+            seq = T.transpose(T.reshape(cm, (c, b * n, length)), (1, 0, 2))
+            seq = blk.forward(seq)
+            h = T.transpose(T.reshape(T.transpose(seq, (1, 0, 2)), cm.shape), perm)
         mask = self.mask_decoder.forward(h, phase.shape[1])
         phase_hat = self.phase_decoder.forward(h, phase)
         return mask, phase_hat

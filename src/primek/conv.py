@@ -6,11 +6,18 @@ Both ranks run through one routine, by conv kind:
   with a partial last tile), `_banded`;
 - 2-D depthwise: one strided window view of the padded input, contracted by
   one matmul per frequency tap, `_depthwise`;
-- pointwise, grouped and full: one GEMM per kernel tap and group, over a
-  strided slice of the padded input (for a stride-1 pointwise conv, the
-  input itself).
-Input gradients are the adjoints of these. Depthwise weight gradients are
-one einsum over the window view, which is built only where it is read.
+- pointwise (one group, stride 1): one GEMM [C_out, C_in] @ [C_in, B*T(*F)]
+  over the channel-major flattening of the input, `_pointwise`;
+- grouped and full: one GEMM per kernel tap and group, over a strided slice
+  of the padded input.
+Memory order follows the input. Padded copies and the 1-D depthwise output
+keep the input's layout; a pointwise conv stores its output channel-major,
+as [C, B, *sizes] (C-contiguous when B = 1). On a channel-major input, the
+layout the GPFCA sequence blocks keep, the pointwise flattening is a free
+view and no conv copies a transposed input.
+Input gradients are the adjoints of these, and the pointwise weight gradient
+is one GEMM as well. Depthwise weight gradients are one einsum over the
+window view, which is built only where it is read.
 Forward values follow the plain nested-loop definition of convolution
 (cross-correlation convention, zero "same" padding for odd kernels); the
 test suite holds them to an independently coded naive oracle.
@@ -112,10 +119,28 @@ def _windows(a, ks, strides, dils):
 
 
 def _pad(a, pads):
-    """a [B, C, *in] with pads[i] zeros on both sides of spatial axis i."""
+    """a [B, C, *in] with pads[i] zeros on both sides of spatial axis i, in
+    the memory order of a."""
     if not any(pads):
         return a
-    return np.pad(a, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+    out = np.zeros_like(a, shape=a.shape[:2] + tuple(
+        m + 2 * p for m, p in zip(a.shape[2:], pads)))
+    out[(Ellipsis,) + tuple(slice(p, p + m) for p, m in zip(pads, a.shape[2:]))] = a
+    return out
+
+
+def _channel_major(a):
+    """a [B, C, *sizes] as the matrix [C, B * prod(sizes)]: a free view when a
+    is stored channel-major (as [C, B, *sizes], or any layout when B = 1)."""
+    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
+
+
+def _pointwise(w, a):
+    """w [C_out, C_in] applied to a [B, C_in, *sizes] as one GEMM over the
+    channel-major flattening of a; the result [B, C_out, *sizes] is stored
+    channel-major."""
+    out = w @ _channel_major(a)
+    return out.reshape(w.shape[:1] + a.shape[:1] + a.shape[2:]).swapaxes(0, 1)
 
 
 def _depthwise(v, w):
@@ -145,8 +170,10 @@ def _banded(a, w, s, d, pad, t_out):
     ends at the last input read; the left operand is an as_strided view
     [tiles, C, B, span] of it whose GEMM rows are batch items, so BLAS reads it
     in place, and one matmul writes through out= into a transposed view of the
-    contiguous [B, C, t_out] result. Tiles are the outer loop so that
-    consecutive GEMMs write neighbouring channels of the same output rows.
+    [B, C, t_out] result. Buffer and result keep the memory order of `a`, so a
+    channel-major input (stored as [C, B, T]) gives a channel-major output.
+    Tiles are the outer loop so that consecutive GEMMs write neighbouring
+    channels of the same output rows.
     A partial last tile of r outputs is a second matmul with the band's first
     r columns and the rows they reach.
     """
@@ -154,12 +181,12 @@ def _banded(a, w, s, d, pad, t_out):
     dtype = np.result_type(a, w)
     reach = d * (w.shape[1] - 1)
     length = (t_out - 1) * s + reach + 1
-    buf = np.zeros((b, c, length), dtype)
+    buf = np.zeros_like(a, dtype, shape=(b, c, length))
     buf[:, :, pad:pad + t] = a[:, :, :length - pad]
     band = np.zeros((c, (_TILE - 1) * s + reach + 1, _TILE), dtype)
     i = np.arange(_TILE)[:, None]
     band[:, i * s + np.arange(w.shape[1]) * d, i] = w[:, None]
-    out = np.empty((b, c, t_out), dtype)
+    out = np.empty_like(buf, shape=(b, c, t_out))
     sb, sc, st = buf.strides
     full, r = divmod(t_out, _TILE)
     for lo, n, cols in ((0, full, _TILE), (full, int(r > 0), r)):
@@ -214,6 +241,8 @@ def _conv(x, spec, weight, bias, axes):
     lead = (slice(None), slice(None))
     depthwise = spec.is_depthwise
     banded = depthwise and n == 1
+    pointwise = not depthwise and g == 1 and ks == strides == (1,) * n
+    w2 = weight.data.reshape(spec.out_channels, spec.in_channels) if pointwise else None
 
     xp = None if banded else _pad(x.data, pads)  # _banded pads into its own buffer
     if banded:
@@ -221,17 +250,15 @@ def _conv(x, spec, weight, bias, axes):
                       out_sizes[0])
     elif depthwise:
         out = _depthwise(_windows(xp, ks, strides, dils), weight.data[:, 0])
+    elif pointwise:
+        out = _pointwise(w2, x.data)
     else:
-        # per kernel tap, the index of the [B, C, *out] inputs it reads: a
-        # strided slice, or for a stride-1 pointwise conv the whole input
-        if ks == strides == (1,) * n:
-            taps = [((0,) * n, Ellipsis)]
-        else:
-            taps = [
-                (tap, lead + tuple(slice(i * d, i * d + s * (o - 1) + 1, s)
-                                   for i, s, d, o in zip(tap, strides, dils, out_sizes)))
-                for tap in np.ndindex(*ks)
-            ]
+        # per kernel tap, the index of the [B, C, *out] inputs it reads
+        taps = [
+            (tap, lead + tuple(slice(i * d, i * d + s * (o - 1) + 1, s)
+                               for i, s, d, o in zip(tap, strides, dils, out_sizes)))
+            for tap in np.ndindex(*ks)
+        ]
         groups = [
             (slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
             for gi in range(g)
@@ -254,12 +281,14 @@ def _conv(x, spec, weight, bias, axes):
             # the flipped kernel after the dilated reach less the forward's padding
             (s,), (d,), (k,) = strides, dils, ks
             if s > 1:
-                stuffed = np.zeros((b, spec.in_channels, s * (out_sizes[0] - 1) + 1),
-                                   gout.dtype)
+                stuffed = np.zeros_like(
+                    gout, shape=(b, spec.in_channels, s * (out_sizes[0] - 1) + 1))
                 stuffed[:, :, ::s] = gout
                 gout = stuffed
             return _banded(gout, weight.data[:, 0, ::-1], 1, d,
                            d * (k - 1) - pads[0], sizes[0])
+        if pointwise:
+            return _pointwise(w2.T, gout)
         if depthwise:
             # the same adjoint through the window view; the kernel is copied
             # because matmul takes a slow path on reversed strides
@@ -287,6 +316,8 @@ def _conv(x, spec, weight, bias, axes):
             view = _windows(_pad(x.data, pads) if banded else xp, ks, strides, dils)
             o, k = list(range(2, n + 2)), list(range(n + 2, 2 * n + 2))
             return np.einsum(gout, [0, 1, *o], view, [0, 1, *o, *k], [1, *k])[:, None]
+        if pointwise:
+            return (_channel_major(gout) @ _channel_major(x.data).T).reshape(weight.shape)
         gw = np.zeros(weight.shape, dtype=weight.dtype)
         for tap, at in taps:
             seg = xp[at]

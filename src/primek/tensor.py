@@ -5,6 +5,13 @@ is built from the operations in this module. Values are numpy arrays in
 float64, which gives finite-difference verification enough headroom. It is
 the only supported dtype: there is no float32 mode yet, and float32 data
 passed through the model comes out float64.
+
+Ops keep the memory order of their inputs: `transpose` and `crop` (so
+`chunk`) return views, `reshape` copies only where numpy must, `concat`
+allocates its output in the layout of its first part, and elementwise ops
+follow numpy's. So an activation stored channel-major ([C, B, L] in memory
+for a logical [B, C, L], as the GPFCA sequence blocks keep theirs) stays so,
+and a channel chunk of it is one contiguous block.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ class ShapeError(ValueError):
 
 class Recorder:
     """Multiply-accumulates reported by conv ops and bytes of tensor storage
-    allocated while active. Every active recorder receives every event."""
+    allocated while active; an op whose data is a view of a parent's storage
+    allocates none. Every active recorder receives every event."""
 
     def __init__(self):
         self.macs = 0
@@ -167,6 +175,9 @@ def _op(data, *edges):
     order, and accumulates the result into that parent.
     """
     out = Tensor(data, dtype=data.dtype if hasattr(data, "dtype") else None)
+    if any(np.may_share_memory(out.data, p.data) for p, _ in edges):
+        for rec in _recorders:  # Tensor() counted it, but a view allocates none
+            rec.bytes_allocated -= out.data.nbytes
     if _grad_enabled and any(p.requires_grad for p, _ in edges):
         def backward(g):
             for p, grad_fn in edges:
@@ -387,10 +398,7 @@ def reshape(x, shape):
 def transpose(x, perm):
     perm = tuple(int(p) for p in perm)
     inv = np.argsort(perm)
-    return _op(
-        np.ascontiguousarray(np.transpose(x.data, perm)),
-        (x, lambda g: np.transpose(g, inv)),
-    )
+    return _op(np.transpose(x.data, perm), (x, lambda g: np.transpose(g, inv)))
 
 
 def crop(x, axis, start, stop):
@@ -400,11 +408,11 @@ def crop(x, axis, start, stop):
     sel = tuple(sel)
 
     def grad(g):
-        gx = np.zeros(x.shape, dtype=x.dtype)
+        gx = np.zeros_like(x.data)
         gx[sel] = g
         return gx
 
-    return _op(np.ascontiguousarray(x.data[sel]), (x, grad))
+    return _op(x.data[sel], (x, grad))
 
 
 def concat(parts, axis=1):
@@ -419,8 +427,12 @@ def concat(parts, axis=1):
             raise ShapeError(
                 f"concat: shape {p.shape} incompatible with {ref} on non-concat axes"
             )
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    shape = list(ref)
+    shape[axis] = int(offsets[-1])
+    datas = [p.data for p in parts]
+    out_data = np.concatenate(datas, axis=axis, out=np.empty_like(
+        datas[0], np.result_type(*datas), shape=shape))
 
     def take(lo, hi):
         sel = [slice(None)] * out_data.ndim

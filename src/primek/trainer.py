@@ -7,9 +7,11 @@ at a random SNR. Everything is reproducible from the seed alone.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,7 +196,8 @@ def save_checkpoint(path, model, step, seed, config_hash=""):
     `config_hash` is the `config.model_hash` of the config the model was
     built under; an empty one is accepted by any load. The file is written
     to `<path>.tmp` and swapped in by one `os.replace`, so a reader sees
-    either the previous checkpoint or the new one.
+    either the previous checkpoint or the new one. If the write or the swap
+    raises, `<path>.tmp` is removed before the error propagates.
     """
     arrays = []
     for name, p in sorted(model.named_params().items()):
@@ -207,11 +210,16 @@ def save_checkpoint(path, model, step, seed, config_hash=""):
         "tensors": [[name, a.dtype.str, a.shape] for name, a in arrays],
     }).encode()
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_FIRST_LINE + len(header).to_bytes(8, "little") + header)
-        for _, a in arrays:
-            fh.write(a.data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_FIRST_LINE + len(header).to_bytes(8, "little") + header)
+            for _, a in arrays:
+                fh.write(a.data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_checkpoint(path):
@@ -328,8 +336,12 @@ def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
               progress=None, config_hash=""):
     """Seeded end-to-end training on the synthetic task.
 
-    Writes an append-only per-step loss log and a final checkpoint; on
+    Writes an append-only per-step log and a final checkpoint; on
     divergence the last good checkpoint is kept and the error re-raised.
+    Each log line holds `step=`, the loss components, `total=`, the pre-clip
+    gradient norm `grad_norm=`, `clipped=1` if clipping scaled the gradients
+    (else 0) and `step_ms=`, the wall time from batch selection to the end of
+    the optimizer update.
     """
     seed = task.seed if seed is None else seed
     model = EnhancementModel(model_cfg, seed=seed)
@@ -346,6 +358,7 @@ def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
     order = np.random.default_rng(seed + 1).permutation(len(train_clean))
     with open(log_path, "w") as log:
         for step in range(1, steps + 1):
+            started = time.perf_counter()
             sel = order[
                 [(batch_size * (step - 1) + j) % len(order) for j in range(batch_size)]
             ]
@@ -359,11 +372,15 @@ def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
                 raise TrainingDiverged(f"loss became {total.data} at step {step}")
             model.zero_grad()
             total.backward()
-            clip_grad_norm(params, opt_cfg.grad_clip)
+            grad_norm = clip_grad_norm(params, opt_cfg.grad_clip)
             adamw_step(params, state)
+            step_ms = 1000.0 * (time.perf_counter() - started)
             result.losses.append(float(total.data))
             parts = " ".join(f"{k}={float(v.data):.6f}" for k, v in comps.items())
-            log.write(f"step={step} {parts} total={float(total.data):.6f}\n")
+            clipped = int(grad_norm > opt_cfg.grad_clip > 0)
+            log.write(f"step={step} {parts} total={float(total.data):.6f} "
+                      f"grad_norm={grad_norm:.6g} clipped={clipped} "
+                      f"step_ms={step_ms:.1f}\n")
             log.flush()
             if step == steps or (checkpoint_every and step % checkpoint_every == 0):
                 save_checkpoint(ckpt_path, model, step=step, seed=seed,

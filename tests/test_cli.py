@@ -284,6 +284,21 @@ def test_train_few_steps_writes_checkpoint_and_log(tmp_path, capsys):
     assert (out_dir / "train_log.txt").exists()
 
 
+def test_failed_checkpoint_save_is_exit_3_and_leaves_no_temporary(tmp_path, capsys):
+    """A checkpoint directory of earlier versions cannot be replaced by the
+    checkpoint file: the run fails as an I/O error and removes its
+    half-swapped `checkpoint.tmp`."""
+    out_dir = tmp_path / "run"
+    (out_dir / "checkpoint").mkdir(parents=True)
+    (out_dir / "checkpoint" / "manifest.json").write_text("{}")
+    code, _, err = run(capsys, "--config", "tiny", "train", "--steps", "1",
+                       "--out-dir", str(out_dir))
+    assert code == 3
+    assert "checkpoint" in err
+    assert not (out_dir / "checkpoint.tmp").exists()
+    assert (out_dir / "checkpoint" / "manifest.json").read_text() == "{}"
+
+
 def test_enhance_rejects_checkpoint_of_another_config(tmp_path, capsys):
     cfg = write_config(tmp_path, **{"task.train_size": "4",
                                     "task.eval_size": "2"})

@@ -139,7 +139,8 @@ def tiny_model():
 
 def test_default_enhance_counts_are_pinned():
     """A seeded `default` enhance of 0.1 s. The MAC count is exact; the
-    allocated tensor bytes may fall in a later change, never rise."""
+    allocated tensor bytes (views of a parent's storage count none) may fall
+    in a later change, never rise."""
     cfg = default_run_config()
     model = EnhancementModel(cfg.model, seed=0)
     n = cfg.spectro.sample_rate // 10
@@ -147,7 +148,7 @@ def test_default_enhance_counts_are_pinned():
     with no_grad(), count_macs() as rec:
         enhance(wave, model, cfg.spectro)
     assert rec.macs == 2_591_611_072
-    assert rec.bytes_allocated <= 501_165_176
+    assert rec.bytes_allocated <= 434_042_648
 
 
 @pytest.mark.parametrize("make_cfg,count", [

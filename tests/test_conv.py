@@ -70,6 +70,21 @@ def naive_conv2d(x, w, b, stride, dilation, groups, same):
     return out
 
 
+LAYOUTS = ("contiguous", "channel_major")
+
+
+def stored_as(a, layout):
+    """a's values, stored C-contiguous or channel-major (as [C, B, ...], the
+    storage of the sequence blocks' activations)."""
+    if layout == "contiguous":
+        return np.ascontiguousarray(a)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, 0)), 0, 1)
+
+
+def is_channel_major(a):
+    return np.moveaxis(a, 1, 0).flags.c_contiguous
+
+
 def rand_weight(spec, two_d=False):
     cin_g = spec.in_channels // spec.groups
     if two_d:
@@ -320,10 +335,11 @@ def sweep_case(rng, i):
     return spec, (int(rng.integers(1, 3)), cin) + sizes
 
 
-def check_oracle_and_adjoints(rng, spec, shape, case):
-    """Draw x [shape], w and a bias from rng: the forward matches the naive
-    oracle to 1e-12, and both gradients satisfy their adjoint identities with
-    the oracle as the forward, <conv(dx, w), g> = <dx, grad_x(g)> and
+def check_oracle_and_adjoints(rng, spec, shape, case, layout="contiguous"):
+    """Draw x [shape], w and a bias from rng, x and the output gradient g
+    stored in `layout`: the forward matches the naive oracle to 1e-12, and
+    both gradients satisfy their adjoint identities with the oracle as the
+    forward, <conv(dx, w), g> = <dx, grad_x(g)> and
     <conv(x, dw), g> = <dw, grad_w(g)>, to 1e-12 relative. Returns the output
     shape."""
     conv, naive = (conv2d, naive_conv2d) if len(shape) == 4 else (conv1d, naive_conv1d)
@@ -333,7 +349,7 @@ def check_oracle_and_adjoints(rng, spec, shape, case):
         return naive(x, w, b, spec.stride, spec.dilation, spec.groups,
                      spec.padding == "same")
 
-    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    x = Tensor(stored_as(rng.standard_normal(shape), layout), requires_grad=True)
     w = Tensor(rng.standard_normal(
         (spec.out_channels, spec.in_channels // spec.groups) + ks),
         requires_grad=True)
@@ -344,7 +360,12 @@ def check_oracle_and_adjoints(rng, spec, shape, case):
     assert np.abs(out.data - want).max() < 1e-12, case
 
     g = rng.standard_normal(out.shape)
-    T.sum_all(T.mul(out, Tensor(g))).backward()
+    # the output gradient reaches the conv stored in `layout` as well: the
+    # adjoint of a transpose hands back a view of the contiguous product
+    axes = list(range(len(shape)))
+    if layout == "channel_major":
+        axes[:2] = [1, 0]
+    T.sum_all(T.mul(T.transpose(out, axes), Tensor(np.transpose(g, axes)))).backward()
     dx = rng.standard_normal(x.shape)
     dw = rng.standard_normal(w.shape)
     for fwd, d, grad in ((oracle(dx, w.data), dx, x.grad),
@@ -356,27 +377,31 @@ def check_oracle_and_adjoints(rng, spec, shape, case):
 
 
 def test_seeded_sweep_matches_oracle_and_adjoints():
-    """100 seeded specs, each held to check_oracle_and_adjoints."""
-    rng = np.random.default_rng(2027)
-    for i in range(100):
-        spec, shape = sweep_case(rng, i)
-        check_oracle_and_adjoints(rng, spec, shape, (i, spec))
+    """100 seeded specs, each held to check_oracle_and_adjoints on input
+    stored in each of LAYOUTS."""
+    for layout in LAYOUTS:
+        rng = np.random.default_rng(2027)
+        for i in range(100):
+            spec, shape = sweep_case(rng, i)
+            check_oracle_and_adjoints(rng, spec, shape, (i, spec, layout), layout)
 
 
 def test_depthwise_1d_tile_boundaries_match_oracle_and_adjoints():
     """1-D depthwise convs are computed in tiles of 16 outputs. Output
     lengths shorter than one tile and on both sides of one, two and three
     tiles, for every kernel, stride, dilation and padding below, each held
-    to check_oracle_and_adjoints."""
-    rng = np.random.default_rng(2029)
-    for t_out, k, s, d, padding in itertools.product(
-            (1, 15, 16, 17, 31, 32, 33, 47, 65), (1, 3, 5, 11, 31), (1, 2, 3),
-            (1, 2, 3), ("same", "valid")):
-        spec = ConvSpec(2, 2, k, stride=s, dilation=d, groups=2, padding=padding)
-        # the input length that gives t_out outputs
-        t = (t_out - 1) * s + (1 if padding == "same" else d * (k - 1) + 1)
-        case = (t_out, k, s, d, padding)
-        assert check_oracle_and_adjoints(rng, spec, (2, 2, t), case) == (2, 2, t_out), case
+    to check_oracle_and_adjoints on input stored in each of LAYOUTS."""
+    for layout in LAYOUTS:
+        rng = np.random.default_rng(2029)
+        for t_out, k, s, d, padding in itertools.product(
+                (1, 15, 16, 17, 31, 32, 33, 47, 65), (1, 3, 5, 11, 31), (1, 2, 3),
+                (1, 2, 3), ("same", "valid")):
+            spec = ConvSpec(2, 2, k, stride=s, dilation=d, groups=2, padding=padding)
+            # the input length that gives t_out outputs
+            t = (t_out - 1) * s + (1 if padding == "same" else d * (k - 1) + 1)
+            case = (t_out, k, s, d, padding, layout)
+            got = check_oracle_and_adjoints(rng, spec, (2, 2, t), case, layout)
+            assert got == (2, 2, t_out), case
 
 
 # ---------------------------------------------------------------------------

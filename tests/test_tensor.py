@@ -6,6 +6,7 @@ import pytest
 from primek import tensor as T
 from primek.conv import ConvSpec, conv1d, conv2d
 from primek.tensor import ShapeError, Tensor
+from test_conv import LAYOUTS, is_channel_major, stored_as
 
 RNG = np.random.default_rng(1234)
 
@@ -390,6 +391,26 @@ def test_transpose_reshape_crop_roundtrip_gradients():
     assert np.array_equal(x.grad, want)
 
 
+def test_transpose_crop_and_concat_keep_memory_order():
+    """transpose and crop return views of their input; concat allocates its
+    output in the memory order of its first part. A channel chunk of a
+    channel-major array is one contiguous block."""
+    for layout in LAYOUTS:
+        x = Tensor(stored_as(RNG.standard_normal((3, 8, 5)), layout))
+        t = T.transpose(x, (1, 0, 2))
+        assert np.shares_memory(t.data, x.data)
+        assert t.data.flags.c_contiguous == (layout == "channel_major")
+        parts = T.chunk(x, 4)
+        for part in parts:
+            assert np.shares_memory(part.data, x.data)
+            assert is_channel_major(part.data) == (layout == "channel_major")
+        back = T.concat(parts)
+        assert np.array_equal(back.data, x.data)
+        assert not np.shares_memory(back.data, x.data)
+        assert is_channel_major(back.data) == (layout == "channel_major")
+        assert back.data.flags.c_contiguous == (layout == "contiguous")
+
+
 def test_repeat_axis_sums_gradient_back():
     x = Tensor(RNG.standard_normal((1, 2, 3)), requires_grad=True)
     y = T.repeat_axis(x, 2, 2)
@@ -417,6 +438,17 @@ def test_allocation_recorder_counts_tensor_bytes():
     with T.track_allocations() as rec:
         Tensor(np.zeros((10, 10)))
     assert rec.bytes_allocated == 10 * 10 * 8
+
+
+def test_allocation_recorder_skips_views_of_a_parent():
+    x = Tensor(RNG.standard_normal((2, 4, 3)))
+    with T.track_allocations() as rec:
+        T.transpose(x, (1, 0, 2))
+        T.crop(x, 1, 0, 2)
+    assert rec.bytes_allocated == 0
+    with T.track_allocations() as rec:
+        y = T.reshape(T.transpose(x, (1, 0, 2)), (4, 6))  # a copy
+    assert rec.bytes_allocated == y.data.nbytes
 
 
 def test_mac_recorder_accumulates():

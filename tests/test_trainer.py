@@ -302,6 +302,7 @@ def test_save_interrupted_between_renames_keeps_previous_checkpoint(
     with pytest.raises(OSError, match="interrupted"):
         save_checkpoint(path, model, step=2, seed=1)
     monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
     fresh = EnhancementModel(TINY_MODEL, seed=2)
     assert load_checkpoint(path, fresh)["step"] == "1"
 
@@ -372,6 +373,23 @@ def test_short_training_is_deterministic_and_logged(tmp_path):
     assert len(lines) == 4
     assert lines[0].startswith("step=1 ")
     assert "total=" in lines[0] and "mag=" in lines[0]
+
+
+def test_log_lines_record_gradient_norm_clipping_and_step_time(tmp_path):
+    result = train_tiny(ToyTaskSpec(**TINY_TASK_KW), 2, str(tmp_path / "run"))
+    with open(result.log_path) as fh:
+        lines = fh.read().strip().splitlines()
+    assert len(lines) == 2
+    for step, (line, loss) in enumerate(zip(lines, result.losses), start=1):
+        fields = dict(token.split("=") for token in line.split())
+        assert list(fields) == ["step", "mag", "pha", "com", "con", "total",
+                                "grad_norm", "clipped", "step_ms"]
+        assert int(fields["step"]) == step
+        assert float(fields["total"]) == pytest.approx(loss, abs=1e-6)
+        norm = float(fields["grad_norm"])
+        assert np.isfinite(norm) and norm > 0
+        assert fields["clipped"] == str(int(norm > TINY_RUN.opt.grad_clip))
+        assert float(fields["step_ms"]) > 0
 
 
 def test_every_parameter_gets_a_gradient_from_the_loss():
