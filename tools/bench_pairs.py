@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Alternating perfbench pairs of a parent revision and this checkout.
 
-    python3 tools/bench_pairs.py --parent HEAD --pairs 10 --seed 1301 \\
+    python3 tools/bench_pairs.py --parent HEAD --seed 1301 \\
         --claim enhance_default.rtf --out BENCH_13.json
 
 The change side is the working tree of this checkout, uncommitted edits
 included (so `--parent HEAD` measures them against the last commit). The
 parent revision's committed files are extracted with `git archive` into a
 temporary directory. Pair i runs `perfbench/run.py --workload all
---trace 0 --seed <seed + i>` once on each side, the parent first in even
-pairs and the change first in odd ones, so a drift in the machine's speed
-falls on both sides alike. The output file holds, for every end-to-end
-metric of every workload that BENCHMARK.json declares, each side's runs,
-median and quartiles and the number of pairs the change won (ties count for
-neither side). A run that fails its output check stops the tool with exit
-status 1.
+--trace 0 --seed <seed + i>` once on each side, at perfbench's own run
+length, the parent first in even pairs and the change first in odd ones, so
+a drift in the machine's speed falls on both sides alike. `--pairs` is at
+least ten (MIN_PAIRS), as a claimed gain must win nine of ten pairs. The
+output file holds, for every end-to-end metric of every workload that
+BENCHMARK.json declares, each side's runs, median and quartiles and the
+number of pairs the change won (ties count for neither side). A run that
+fails its output check stops the tool with exit status 1.
 """
 
 import argparse
@@ -31,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 10
 
 
 def extract(rev, dest):
@@ -46,10 +48,10 @@ def extract(rev, dest):
     return commit
 
 
-def run_benchmark(tree, seed, seconds):
+def run_benchmark(tree, seed):
     """The combined metrics of one `--workload all` run in `tree`."""
     cmd = [sys.executable, str(Path(tree) / "perfbench" / "run.py"), "--workload",
-           "all", "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "all", "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True,
                           check=False)
     lines = proc.stdout.strip().splitlines()
@@ -69,9 +71,8 @@ def summary(runs):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--claim", required=True,
                    help="the <workload>.<metric> the change claims to improve")
     p.add_argument("--what", default="", help="one line describing the change")
@@ -81,6 +82,8 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     names = [f"{w['name']}.{m}" for w in bench["workloads"] for m in better]
+    if args.pairs < MIN_PAIRS:
+        p.error(f"--pairs must be at least {MIN_PAIRS}")
     if args.claim not in names:
         p.error(f"--claim must be one of {', '.join(names)}")
     seeds = [args.seed + i for i in range(args.pairs)]
@@ -91,7 +94,7 @@ def main(argv=None):
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                values = run_benchmark(trees[side], seed, args.seconds)
+                values = run_benchmark(trees[side], seed)
                 for name in names:
                     runs[side][name].append(values[name])
             print(f"pair {i + 1}/{args.pairs} seed {seed}: {args.claim} parent "
@@ -112,9 +115,9 @@ def main(argv=None):
               f"in {won}/{args.pairs}, parent IQR {par['q3'] - par['q1']:.4g}")
     out = {
         "what": args.what,
-        "command": "python3 perfbench/run.py --workload all --trace 0 --seconds "
-                   f"{args.seconds:g} --seed <seed>, parent ({parent[:7]}) and "
-                   "change from separate trees, alternating which runs first",
+        "command": "python3 perfbench/run.py --workload all --trace 0 --seed "
+                   f"<seed>, parent ({parent[:7]}) and change from separate "
+                   "trees, alternating which runs first",
         "machine": f"{os.cpu_count()} cores, numpy {np.__version__}, Python "
                    f"{platform.python_version()}, {platform.machine()}; perfbench "
                    "runs BLAS on 1 thread",
