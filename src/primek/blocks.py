@@ -52,6 +52,8 @@ class GpfcaConfig:
             )
         if self.ffn_expansion < 1:
             raise ValueError("ffn_expansion must be >= 1")
+        if self.attn_expansion < 1:
+            raise ValueError("attn_expansion must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,10 @@ class ModelConfig:
     identity_mode: bool = False
 
     def __post_init__(self):
+        if self.channels < 1:
+            raise ValueError(f"model.channels {self.channels} must be >= 1")
+        if self.ts_block_count < 0:
+            raise ValueError(f"model.ts_block_count {self.ts_block_count} must be >= 0")
         hidden = self.gpfca.ffn_expansion * self.channels
         if hidden % 4 != 0:
             raise ValueError(

@@ -309,23 +309,20 @@ def _peak_rss_mb():
 # selftest
 # ---------------------------------------------------------------------------
 
-def _naive_conv1d(x, w, stride, dilation, groups, pad):
+def _naive_conv1d(x, w, stride, dilation, pad):
     b, cin, t = x.shape
-    cout, cin_g, k = w.shape
+    cout, _, k = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
     t_out = (xp.shape[2] - (dilation * (k - 1) + 1)) // stride + 1
-    cout_g = cout // groups
     out = np.zeros((b, cout, t_out))
     for bi in range(b):
         for oc in range(cout):
-            gi = oc // cout_g
             for ot in range(t_out):
                 acc = 0.0
-                for ic in range(cin_g):
+                for ic in range(cin):
                     for kk in range(k):
                         acc += (w[oc, ic, kk]
-                                * xp[bi, gi * cin_g + ic,
-                                     ot * stride + kk * dilation])
+                                * xp[bi, ic, ot * stride + kk * dilation])
                 out[bi, oc, ot] = acc
     return out
 
@@ -335,11 +332,11 @@ def cmd_selftest(cfg, args):
     checks = []
 
     from .conv import ConvSpec, conv1d
-    spec = ConvSpec(4, 6, 3, dilation=2, groups=2)
+    spec = ConvSpec(4, 6, 3, dilation=2)
     x = Tensor(rng.standard_normal((2, 4, 12)))
-    w = Tensor(rng.standard_normal((6, 2, 3)))
+    w = Tensor(rng.standard_normal((6, 4, 3)))
     got = conv1d(x, spec, w).data
-    want = _naive_conv1d(x.data, w.data, 1, 2, 2, 2)
+    want = _naive_conv1d(x.data, w.data, 1, 2, 2)
     checks.append(("conv1d vs nested loops", np.abs(got - want).max() < 1e-12))
 
     frame = rng.standard_normal(32)
@@ -394,6 +391,13 @@ def _int_list(raw):
     return [int(v) for v in raw.split(",") if v]
 
 
+def _non_negative_int(raw):
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="primek",
@@ -420,8 +424,8 @@ def build_parser():
     m.add_argument("--json", action="store_true")
 
     t = sub.add_parser("train", help="train on the synthetic denoising task")
-    t.add_argument("--steps", type=int, default=0,
-                   help="override the configured step count")
+    t.add_argument("--steps", type=_non_negative_int, default=0,
+                   help="override the configured step count (0 keeps it)")
     t.add_argument("--out-dir", default="run")
 
     e = sub.add_parser("enhance", help="denoise a WAV file")

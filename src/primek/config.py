@@ -201,6 +201,10 @@ def build(pairs):
     cfg = _construct(base, (), values)
     if cfg.loss_mode not in ("old", "new"):
         raise ConfigError("loss.mode must be 'old' or 'new'", key="loss.mode")
+    for key, value in (("train.steps", cfg.train_steps),
+                       ("train.batch_size", cfg.batch_size)):
+        if value < 1:
+            raise ConfigError(f"{value} must be >= 1", key=key)
     return cfg
 
 

@@ -1,23 +1,24 @@
-"""Grouped, dilated 1-D and 2-D convolutions on the autodiff tensor.
+"""Dilated, strided 1-D and 2-D convolutions on the autodiff tensor.
 
-Both ranks run through one routine, by conv kind:
+A conv is depthwise (groups = in_channels = out_channels) or full
+(groups = 1); pointwise is the one-tap full conv. Both ranks run through one
+routine, with three code paths:
 - 1-D depthwise (the prime-kernel convs of the gated units): a product with
   a banded matrix of the kernel over tiles of outputs, one matmul call (two
   with a partial last tile), `_banded`;
 - 2-D depthwise: one strided window view of the padded input, contracted by
   one matmul per frequency tap, `_depthwise`;
-- pointwise (one group, stride 1): one GEMM [C_out, C_in] @ [C_in, B*T(*F)]
-  over the channel-major flattening of the input, `_pointwise`;
-- grouped and full: one GEMM per kernel tap and group, over a strided slice
-  of the padded input.
+- full: one GEMM per kernel tap, W[:, :, tap] @ X_tap, summed into one
+  [C_out, B*out] matrix; X_tap is the channel-major flattening of the strided
+  slice of the padded input that the tap reads.
 Memory order follows the input. Padded copies and the 1-D depthwise output
-keep the input's layout; a pointwise conv stores its output channel-major,
-as [C, B, *sizes] (C-contiguous when B = 1). On a channel-major input, the
-layout the GPFCA sequence blocks keep, the pointwise flattening is a free
-view and no conv copies a transposed input.
-Input gradients are the adjoints of these, and the pointwise weight gradient
-is one GEMM as well. Depthwise weight gradients are one einsum over the
-window view, which is built only where it is read.
+keep the input's layout; a full conv stores its output channel-major, as
+[C, B, *sizes] (C-contiguous when B = 1). On a channel-major input, the
+layout the GPFCA sequence blocks keep, a pointwise X_tap is a free view.
+The gradients of a full conv run the same tap loop: grad_w[:, :, tap] is
+G @ X_tap^T, and W[:, :, tap]^T @ G is added into the slice the tap read.
+Depthwise weight gradients are one einsum over the window view, which is
+built only where it is read.
 Forward values follow the plain nested-loop definition of convolution
 (cross-correlation convention, zero "same" padding for odd kernels); the
 test suite holds them to an independently coded naive oracle.
@@ -25,6 +26,7 @@ test suite holds them to an independently coded naive oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,8 @@ from .tensor import ShapeError, _channel_sum, _channel_view, _op, record_macs
 class ConvSpec:
     """Hyperparameters of one convolution layer.
 
-    kernel / stride / dilation are ints for 1-D, pairs for 2-D.
+    kernel / stride / dilation are ints for 1-D, pairs for 2-D; groups is 1
+    (a full conv) or the channel count (a depthwise one).
     """
 
     in_channels: int
@@ -49,14 +52,13 @@ class ConvSpec:
     padding: str = "same"
 
     def __post_init__(self):
-        if self.in_channels % self.groups != 0:
+        if min(self.in_channels, self.out_channels) < 1:
             raise ShapeError(
-                f"in_channels {self.in_channels} not divisible by groups {self.groups}"
-            )
-        if self.out_channels % self.groups != 0:
+                f"channel counts {self.in_channels} -> {self.out_channels} must be >= 1")
+        if self.groups != 1 and not self.is_depthwise:
             raise ShapeError(
-                f"out_channels {self.out_channels} not divisible by groups {self.groups}"
-            )
+                f"groups {self.groups} must be 1, or equal both channel counts "
+                f"({self.in_channels} -> {self.out_channels}) for a depthwise conv")
         for k in _as_tuple(self.kernel):
             if k < 1:
                 raise ShapeError(f"kernel extent {k} < 1")
@@ -135,26 +137,28 @@ def _channel_major(a):
     return a.swapaxes(0, 1).reshape(a.shape[1], -1)
 
 
-def _pointwise(w, a):
-    """w [C_out, C_in] applied to a [B, C_in, *sizes] as one GEMM over the
-    channel-major flattening of a; the result [B, C_out, *sizes] is stored
-    channel-major."""
-    out = w @ _channel_major(a)
-    return out.reshape(w.shape[:1] + a.shape[:1] + a.shape[2:]).swapaxes(0, 1)
+def _from_channel_major(m, b, sizes):
+    """Inverse of _channel_major: the matrix m [C, B * prod(sizes)] as a
+    [B, C, *sizes] view, stored channel-major."""
+    return m.reshape((m.shape[0], b) + sizes).swapaxes(0, 1)
+
+
+def _summed(parts):
+    """Sum of the arrays of iterator `parts`, accumulated into the first."""
+    out = next(parts)
+    for part in parts:
+        out += part
+        del part  # freed before the next product is allocated
+    return out
 
 
 def _depthwise(v, w):
     """Contract windows v [B, C, *out, *k] with per-channel kernels w [C, *k]:
     one matmul over the first kernel axis for each tap of the others."""
     shape = (w.shape[0],) + (1,) * (w.ndim - 2) + (w.shape[1], 1)
-    parts = (np.matmul(v[(Ellipsis, slice(None)) + tap],
-                       w[(slice(None), slice(None)) + tap].reshape(shape))[..., 0]
-             for tap in np.ndindex(w.shape[2:]))
-    out = next(parts)
-    for part in parts:
-        out += part
-        del part  # freed before the next matmul allocates, as the tap loop did
-    return out
+    return _summed(np.matmul(v[(Ellipsis, slice(None)) + tap],
+                             w[(slice(None), slice(None)) + tap].reshape(shape))[..., 0]
+                   for tap in np.ndindex(w.shape[2:]))
 
 
 def _banded(a, w, s, d, pad, t_out):
@@ -218,9 +222,8 @@ def _conv(x, spec, weight, bias, axes):
     ks = _per_axis(spec.kernel, n)
     strides = _per_axis(spec.stride, n)
     dils = _per_axis(spec.dilation, n)
-    g = spec.groups
-    cin_g = spec.in_channels // g
-    cout_g = spec.out_channels // g
+    depthwise = spec.is_depthwise
+    cin_g = 1 if depthwise else spec.in_channels
     wshape = (spec.out_channels, cin_g) + ks
     if weight.shape != wshape:
         raise ShapeError(
@@ -237,43 +240,26 @@ def _conv(x, spec, weight, bias, axes):
         _out_extent(m, k, s, d, spec.padding)
         for m, k, s, d in zip(sizes, ks, strides, dils)
     )
-    flat = math.prod(out_sizes)
     lead = (slice(None), slice(None))
-    depthwise = spec.is_depthwise
     banded = depthwise and n == 1
-    pointwise = not depthwise and g == 1 and ks == strides == (1,) * n
-    w2 = weight.data.reshape(spec.out_channels, spec.in_channels) if pointwise else None
+    w = weight.data
 
     xp = None if banded else _pad(x.data, pads)  # _banded pads into its own buffer
     if banded:
-        out = _banded(x.data, weight.data[:, 0], strides[0], dils[0], pads[0],
-                      out_sizes[0])
+        out = _banded(x.data, w[:, 0], strides[0], dils[0], pads[0], out_sizes[0])
     elif depthwise:
-        out = _depthwise(_windows(xp, ks, strides, dils), weight.data[:, 0])
-    elif pointwise:
-        out = _pointwise(w2, x.data)
+        out = _depthwise(_windows(xp, ks, strides, dils), w[:, 0])
     else:
-        # per kernel tap, the index of the [B, C, *out] inputs it reads
-        taps = [
-            (tap, lead + tuple(slice(i * d, i * d + s * (o - 1) + 1, s)
-                               for i, s, d, o in zip(tap, strides, dils, out_sizes)))
-            for tap in np.ndindex(*ks)
-        ]
-        groups = [
-            (slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
-            for gi in range(g)
-        ]
-        out = np.zeros((b, spec.out_channels) + out_sizes, dtype=x.dtype)
-        for tap, at in taps:
-            seg = xp[at]
-            for ics, ocs in groups:
-                sflat = seg[:, ics].reshape(b, cin_g, flat)
-                out[:, ocs] += np.matmul(
-                    weight.data[(ocs, slice(None)) + tap], sflat
-                ).reshape((b, cout_g) + out_sizes)
+        # per kernel tap, the index of its weights and of the inputs it reads
+        taps = [(lead + tap, lead + tuple(
+            slice(i * d, i * d + s * (o - 1) + 1, s)
+            for i, s, d, o in zip(tap, strides, dils, out_sizes)))
+            for tap in itertools.product(*map(range, ks))]
+        out = _from_channel_major(
+            _summed(w[tap] @ _channel_major(xp[at]) for tap, at in taps), b, out_sizes)
     if bias is not None:
         out += _channel_view(bias.data, n + 2)
-    record_macs(b * spec.out_channels * cin_g * math.prod(ks) * flat)
+    record_macs(b * spec.out_channels * cin_g * math.prod(ks) * math.prod(out_sizes))
 
     def grad_x(gout):
         if banded:
@@ -285,10 +271,7 @@ def _conv(x, spec, weight, bias, axes):
                     gout, shape=(b, spec.in_channels, s * (out_sizes[0] - 1) + 1))
                 stuffed[:, :, ::s] = gout
                 gout = stuffed
-            return _banded(gout, weight.data[:, 0, ::-1], 1, d,
-                           d * (k - 1) - pads[0], sizes[0])
-        if pointwise:
-            return _pointwise(w2.T, gout)
+            return _banded(gout, w[:, 0, ::-1], 1, d, d * (k - 1) - pads[0], sizes[0])
         if depthwise:
             # the same adjoint through the window view; the kernel is copied
             # because matmul takes a slow path on reversed strides
@@ -296,17 +279,17 @@ def _conv(x, spec, weight, bias, axes):
             gp = np.zeros(xp.shape[:2] + tuple(np.add(xp.shape[2:], reach)), gout.dtype)
             gp[lead + tuple(slice(r, r + s * o, s)
                             for r, s, o in zip(reach, strides, out_sizes))] = gout
-            flipped = np.flip(weight.data[:, 0], tuple(range(1, n + 1))).copy()
+            flipped = np.flip(w[:, 0], tuple(range(1, n + 1))).copy()
             gxp = _depthwise(_windows(gp, ks, (1,) * n, dils), flipped)
         else:
-            gxp = np.zeros_like(xp)
+            g = _channel_major(gout)
+            if len(taps) == 1 and strides == (1,) * n:
+                # the one tap reads every input once: its product is the gradient
+                return _from_channel_major(w[taps[0][0]].T @ g, b, sizes)
+            gxp = np.zeros((spec.in_channels, b) + xp.shape[2:], gout.dtype)
+            gxp = gxp.swapaxes(0, 1)
             for tap, at in taps:
-                dst = gxp[at]
-                for ics, ocs in groups:
-                    gflat = gout[:, ocs].reshape(b, cout_g, flat)
-                    dst[:, ics] += np.matmul(
-                        weight.data[(ocs, slice(None)) + tap].T, gflat
-                    ).reshape((b, cin_g) + out_sizes)
+                gxp[at] += _from_channel_major(w[tap].T @ g, b, out_sizes)
         if any(pads):
             gxp = gxp[lead + tuple(slice(p, p + m) for p, m in zip(pads, sizes))]
         return gxp
@@ -316,17 +299,10 @@ def _conv(x, spec, weight, bias, axes):
             view = _windows(_pad(x.data, pads) if banded else xp, ks, strides, dils)
             o, k = list(range(2, n + 2)), list(range(n + 2, 2 * n + 2))
             return np.einsum(gout, [0, 1, *o], view, [0, 1, *o, *k], [1, *k])[:, None]
-        if pointwise:
-            return (_channel_major(gout) @ _channel_major(x.data).T).reshape(weight.shape)
-        gw = np.zeros(weight.shape, dtype=weight.dtype)
+        g = _channel_major(gout)
+        gw = np.empty_like(w)
         for tap, at in taps:
-            seg = xp[at]
-            for ics, ocs in groups:
-                gflat = gout[:, ocs].reshape(b, cout_g, flat)
-                sflat = seg[:, ics].reshape(b, cin_g, flat)
-                gw[(ocs, slice(None)) + tap] = np.matmul(
-                    gflat, sflat.transpose(0, 2, 1)
-                ).sum(axis=0)
+            gw[tap] = g @ _channel_major(xp[at]).T
         return gw
 
     edges = [(x, grad_x), (weight, grad_w)]

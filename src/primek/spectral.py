@@ -62,6 +62,8 @@ class SpectroConfig:
     center: bool = True
 
     def __post_init__(self):
+        if self.hop < 1:
+            raise ValueError(f"hop {self.hop} must be >= 1")
         if self.win_length > self.fft_size:
             raise ValueError(
                 f"win_length {self.win_length} exceeds fft_size {self.fft_size}"

@@ -110,6 +110,11 @@ class ToyTaskSpec:
     eval_size: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("train_size", "eval_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"task.{name} {getattr(self, name)} must be >= 1")
+
 
 def _clean_signal(rng, task):
     n = task.segment_samples

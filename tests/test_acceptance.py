@@ -161,10 +161,10 @@ def test_06_convolutions_match_nested_loop_oracle(capsys):
     worst, cases = 0.0, 0
 
     # 1-D depthwise, every kernel size the gated unit uses, plus pointwise
-    # and a grouped mix
+    # and a full 3-tap conv
     c = 8
     cfgs_1d = [dict(k=k, groups=c) for k in (3, 11, 23, 31)]
-    cfgs_1d += [dict(k=1, groups=1), dict(k=3, groups=2)]
+    cfgs_1d += [dict(k=1, groups=1), dict(k=3, groups=1)]
     for cfg in cfgs_1d:
         k, g = cfg["k"], cfg["groups"]
         spec = ConvSpec(c, c, k, groups=g)

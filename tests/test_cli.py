@@ -92,8 +92,19 @@ def test_malformed_value_is_exit_2_naming_the_key(tmp_path, capsys):
     ({"gpfca.ffn_expansion": "0"}, "section 'gpfca'"),
     # hidden width 6 * 1 is not divisible by 4: a check across two sections
     ({"model.channels": "6", "gpfca.ffn_expansion": "1"}, "section 'model'"),
+    # zero or negative sizes, each once a traceback, a NaN or a silent no-op
+    ({"model.channels": "0"}, "model.channels"),
+    ({"gpfca.attn_expansion": "0"}, "section 'gpfca'"),
+    ({"spectro.hop": "0"}, "section 'spectro'"),
+    ({"task.train_size": "0"}, "task.train_size"),
+    ({"task.eval_size": "0"}, "task.eval_size"),
+    ({"train.batch_size": "0"}, "train.batch_size"),
+    ({"train.steps": "0"}, "train.steps"),
+    ({"model.ts_block_count": "-1"}, "model.ts_block_count"),
 ], ids=["3,4,7,11", "3,11,23", "dense.depth", "gpfca.ffn_expansion",
-        "hidden-width"])
+        "hidden-width", "model.channels", "gpfca.attn_expansion", "spectro.hop",
+        "task.train_size", "task.eval_size", "train.batch_size", "train.steps",
+        "model.ts_block_count"])
 def test_bad_kernel_group_is_exit_2_naming_the_key(tmp_path, capsys, overrides,
                                                    named):
     path = write_config(tmp_path, **overrides)
@@ -282,6 +293,16 @@ def test_train_few_steps_writes_checkpoint_and_log(tmp_path, capsys):
     assert "improvement" in out
     assert "checkpoint:" in out
     assert (out_dir / "train_log.txt").exists()
+
+
+def test_train_negative_steps_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", "tiny", "train", "--steps", "-1",
+                  "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_failed_checkpoint_save_is_exit_3_and_leaves_no_temporary(tmp_path, capsys):

@@ -14,8 +14,10 @@ a drift in the machine's speed falls on both sides alike. `--pairs` is at
 least ten (MIN_PAIRS), as a claimed gain must win nine of ten pairs. The
 output file holds, for every end-to-end metric of every workload that
 BENCHMARK.json declares, each side's runs, median and quartiles and the
-number of pairs the change won (ties count for neither side). A run that
-fails its output check stops the tool with exit status 1.
+number of pairs the change won (ties count for neither side). `--claim`
+names the metric the change claims to improve; without it `claim.metric` is
+null and the file only shows that nothing got worse. A run that fails its
+output check stops the tool with exit status 1.
 """
 
 import argparse
@@ -73,8 +75,9 @@ def main(argv=None):
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    p.add_argument("--claim", required=True,
-                   help="the <workload>.<metric> the change claims to improve")
+    p.add_argument("--claim", default=None,
+                   help="the <workload>.<metric> the change claims to improve, "
+                        "if any")
     p.add_argument("--what", default="", help="one line describing the change")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
@@ -84,7 +87,7 @@ def main(argv=None):
     names = [f"{w['name']}.{m}" for w in bench["workloads"] for m in better]
     if args.pairs < MIN_PAIRS:
         p.error(f"--pairs must be at least {MIN_PAIRS}")
-    if args.claim not in names:
+    if args.claim is not None and args.claim not in names:
         p.error(f"--claim must be one of {', '.join(names)}")
     seeds = [args.seed + i for i in range(args.pairs)]
     runs = {side: {name: [] for name in names} for side in ("parent", "change")}
@@ -97,9 +100,10 @@ def main(argv=None):
                 values = run_benchmark(trees[side], seed)
                 for name in names:
                     runs[side][name].append(values[name])
-            print(f"pair {i + 1}/{args.pairs} seed {seed}: {args.claim} parent "
-                  f"{runs['parent'][args.claim][-1]:.6g} change "
-                  f"{runs['change'][args.claim][-1]:.6g}", flush=True)
+            shown = args.claim or names[0]
+            print(f"pair {i + 1}/{args.pairs} seed {seed}: {shown} parent "
+                  f"{runs['parent'][shown][-1]:.6g} change "
+                  f"{runs['change'][shown][-1]:.6g}", flush=True)
 
     claim = {"metric": args.claim, "seeds": seeds}
     for name in names:
