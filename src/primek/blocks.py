@@ -98,6 +98,12 @@ class ModelConfig:
                 f"hidden width {hidden} (= gpfca.ffn_expansion * model.channels) "
                 "must be divisible by 4 for channel chunking"
             )
+        wide = self.gpfca.attn_expansion * self.channels
+        if wide % 2 != 0:
+            raise ValueError(
+                f"attention width {wide} (= gpfca.attn_expansion * model.channels) "
+                "must be even for the gate's channel split"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -387,8 +387,12 @@ def cmd_selftest(cfg, args):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _int_list(raw):
-    return [int(v) for v in raw.split(",") if v]
+def _positive_int_list(raw):
+    values = [int(v) for v in raw.split(",") if v]
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a list of positive integers")
+    return values
 
 
 def _non_negative_int(raw):
@@ -412,14 +416,14 @@ def build_parser():
 
     a = sub.add_parser("analyze", help="per-block complexity report")
     a.add_argument("--json", action="store_true")
-    a.add_argument("--frames", type=int, default=0,
-                   help="override the frame count (default: from config)")
+    a.add_argument("--frames", type=_non_negative_int, default=0,
+                   help="override the frame count (0 keeps the config's)")
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     g.add_argument("--scope", choices=("block", "model"), default="block")
 
     m = sub.add_parser("bench-memory", help="activation-memory scaling")
-    m.add_argument("--lengths", type=_int_list,
+    m.add_argument("--lengths", type=_positive_int_list,
                    default=[250, 500, 1000, 2000, 4000])
     m.add_argument("--json", action="store_true")
 

@@ -205,6 +205,16 @@ def build(pairs):
                        ("train.batch_size", cfg.batch_size)):
         if value < 1:
             raise ConfigError(f"{value} must be >= 1", key=key)
+    # two STFT frames at least (the phase losses average over frame
+    # differences), and with centre padding more samples than it reflects
+    sp = cfg.spectro
+    pad = sp.fft_size // 2 if sp.center else 0
+    least = max(sp.win_length + sp.hop - 2 * pad, pad + 1)
+    if cfg.task.segment_samples < least:
+        raise ConfigError(
+            f"{cfg.task.segment_samples} samples are too short for the STFT "
+            f"(at least {least} give 2 frames and fit its centre padding)",
+            key="task.segment_samples")
     return cfg
 
 

@@ -1,13 +1,16 @@
 """Dilated, strided 1-D and 2-D convolutions on the autodiff tensor.
 
-A conv is depthwise (groups = in_channels = out_channels) or full
-(groups = 1); pointwise is the one-tap full conv. Both ranks run through one
-routine, with three code paths:
-- 1-D depthwise (the prime-kernel convs of the gated units): a product with
-  a banded matrix of the kernel over tiles of outputs, one matmul call (two
-  with a partial last tile), `_banded`;
-- 2-D depthwise: one strided window view of the padded input, contracted by
-  one matmul per frequency tap, `_depthwise`;
+A conv is depthwise (groups = in_channels = out_channels > 1) or full
+(groups = 1); pointwise is the one-tap full conv. Depthwise convs have
+stride 1 and "same" padding, as every one in the model does. Both ranks run
+through one routine, with two code paths:
+- depthwise, `_depthwise`: in 1-D (the prime-kernel convs of the gated
+  units) a product with a banded matrix of the kernel over tiles of outputs,
+  one matmul call (two with a partial last tile), `_banded`; in 2-D one
+  strided window view of the padded input, contracted by one matmul per
+  frequency tap. At stride 1 with symmetric padding the adjoint of a conv is
+  the same conv with its kernel flipped, so grad_x is `_depthwise` of the
+  output gradient with flipped kernels;
 - full: one GEMM per kernel tap, W[:, :, tap] @ X_tap, summed into one
   [C_out, B*out] matrix; X_tap is the channel-major flattening of the strided
   slice of the padded input that the tap reads.
@@ -17,8 +20,8 @@ keep the input's layout; a full conv stores its output channel-major, as
 layout the GPFCA sequence blocks keep, a pointwise X_tap is a free view.
 The gradients of a full conv run the same tap loop: grad_w[:, :, tap] is
 G @ X_tap^T, and W[:, :, tap]^T @ G is added into the slice the tap read.
-Depthwise weight gradients are one einsum over the window view, which is
-built only where it is read.
+Depthwise weight gradients are one einsum over the window view of the padded
+input, built in the backward pass.
 Forward values follow the plain nested-loop definition of convolution
 (cross-correlation convention, zero "same" padding for odd kernels); the
 test suite holds them to an independently coded naive oracle.
@@ -40,7 +43,8 @@ class ConvSpec:
     """Hyperparameters of one convolution layer.
 
     kernel / stride / dilation are ints for 1-D, pairs for 2-D; groups is 1
-    (a full conv) or the channel count (a depthwise one).
+    (a full conv) or the channel count (a depthwise one, which takes stride 1
+    and "same" padding). A one-channel conv with groups 1 is a full conv.
     """
 
     in_channels: int
@@ -69,10 +73,15 @@ class ConvSpec:
                 raise ShapeError(f"dilation {d} < 1")
         if self.padding not in ("same", "valid"):
             raise ValueError(f"unknown padding policy {self.padding!r}")
+        if self.is_depthwise and (self.padding != "same" or any(
+                s != 1 for s in _as_tuple(self.stride))):
+            raise ShapeError(
+                f"a depthwise conv takes stride 1 and 'same' padding, got stride "
+                f"{self.stride} and {self.padding!r} padding")
 
     @property
     def is_depthwise(self):
-        return self.groups == self.in_channels == self.out_channels
+        return 1 < self.groups == self.in_channels == self.out_channels
 
 
 # outputs per band tile of a 1-D depthwise conv (see _banded)
@@ -109,15 +118,14 @@ def conv2d(x, spec, weight, bias=None):
     return _conv(x, spec, weight, bias, "TF")
 
 
-def _windows(a, ks, strides, dils):
+def _windows(a, ks, dils):
     """View [B, C, *out, *k] of a [B, C, *in], never copied: per spatial axis,
-    window o at tap i reads a[o * s + i * d], for each o whose window fits."""
-    out = tuple((m - d * (k - 1) - 1) // s + 1
-                for m, k, s, d in zip(a.shape[2:], ks, strides, dils))
+    window o at tap i reads a[o + i * d], for each o whose window fits."""
+    out = tuple(m - d * (k - 1) for m, k, d in zip(a.shape[2:], ks, dils))
     return np.lib.stride_tricks.as_strided(
         a, a.shape[:2] + out + ks,
-        a.strides[:2] + tuple(t * s for t, s in zip(a.strides[2:], strides))
-        + tuple(t * d for t, d in zip(a.strides[2:], dils)), writeable=False)
+        a.strides + tuple(t * d for t, d in zip(a.strides[2:], dils)),
+        writeable=False)
 
 
 def _pad(a, pads):
@@ -152,54 +160,56 @@ def _summed(parts):
     return out
 
 
-def _depthwise(v, w):
-    """Contract windows v [B, C, *out, *k] with per-channel kernels w [C, *k]:
-    one matmul over the first kernel axis for each tap of the others."""
+def _depthwise(a, w, dils, pads):
+    """Stride-1 depthwise conv of a [B, C, *sizes] with per-channel kernels
+    w [C, *k], with pads[i] zeros on both sides of spatial axis i of a:
+    in 1-D `_banded`; in 2-D one matmul over the first kernel axis of the
+    window view of the padded input for each tap of the other."""
+    if a.ndim == 3:
+        return _banded(a, w, dils[0], pads[0])
+    v = _windows(_pad(a, pads), w.shape[1:], dils)
     shape = (w.shape[0],) + (1,) * (w.ndim - 2) + (w.shape[1], 1)
     return _summed(np.matmul(v[(Ellipsis, slice(None)) + tap],
                              w[(slice(None), slice(None)) + tap].reshape(shape))[..., 0]
                    for tap in np.ndindex(w.shape[2:]))
 
 
-def _banded(a, w, s, d, pad, t_out):
-    """1-D depthwise conv of a [B, C, T] with kernels w [C, K] at stride s and
-    dilation d, reading a after `pad` zeros and followed by zeros:
-    out[b, c, o] = sum_k w[c, k] * a[b, c, o*s + k*d - pad] for o < t_out.
+def _banded(a, w, d, pad):
+    """1-D depthwise conv of a [B, C, T] with kernels w [C, K] at dilation d,
+    reading a between `pad` zeros on each side:
+    out[b, c, o] = sum_k w[c, k] * a[b, c, o + k*d - pad] for o < T.
 
     A GEMM with a banded (Toeplitz) matrix of the kernel, after Chellapilla,
     Puri & Simard (2006), over tiles of _TILE outputs: tile j reads the
-    span = (_TILE - 1)*s + d*(K - 1) + 1 inputs from j*_TILE*s on, and is
-    their product with the band [span, _TILE] of its channel,
-    band[i*s + k*d, i] = w[c, k]. `a` is copied once, into a zero buffer that
-    ends at the last input read; the left operand is an as_strided view
-    [tiles, C, B, span] of it whose GEMM rows are batch items, so BLAS reads it
-    in place, and one matmul writes through out= into a transposed view of the
-    [B, C, t_out] result. Buffer and result keep the memory order of `a`, so a
-    channel-major input (stored as [C, B, T]) gives a channel-major output.
-    Tiles are the outer loop so that consecutive GEMMs write neighbouring
-    channels of the same output rows.
+    span = _TILE + d*(K - 1) inputs from j*_TILE on, and is their product
+    with the band [span, _TILE] of its channel, band[i + k*d, i] = w[c, k].
+    `a` is copied once, into the zero-padded buffer; the left operand is an
+    as_strided view [tiles, C, B, span] of it whose GEMM rows are batch items,
+    so BLAS reads it in place, and one matmul writes through out= into a
+    transposed view of the [B, C, T] result. Buffer and result keep the memory
+    order of `a`, so a channel-major input (stored as [C, B, T]) gives a
+    channel-major output. Tiles are the outer loop so that consecutive GEMMs
+    write neighbouring channels of the same output rows.
     A partial last tile of r outputs is a second matmul with the band's first
     r columns and the rows they reach.
     """
     b, c, t = a.shape
     dtype = np.result_type(a, w)
     reach = d * (w.shape[1] - 1)
-    length = (t_out - 1) * s + reach + 1
-    buf = np.zeros_like(a, dtype, shape=(b, c, length))
-    buf[:, :, pad:pad + t] = a[:, :, :length - pad]
-    band = np.zeros((c, (_TILE - 1) * s + reach + 1, _TILE), dtype)
+    buf = np.zeros_like(a, dtype, shape=(b, c, t + 2 * pad))
+    buf[:, :, pad:pad + t] = a
+    band = np.zeros((c, _TILE + reach, _TILE), dtype)
     i = np.arange(_TILE)[:, None]
-    band[:, i * s + np.arange(w.shape[1]) * d, i] = w[:, None]
-    out = np.empty_like(buf, shape=(b, c, t_out))
+    band[:, i + np.arange(w.shape[1]) * d, i] = w[:, None]
+    out = np.empty_like(buf, shape=(b, c, t))
     sb, sc, st = buf.strides
-    full, r = divmod(t_out, _TILE)
+    full, r = divmod(t, _TILE)
     for lo, n, cols in ((0, full, _TILE), (full, int(r > 0), r)):
         if n:
-            span = (cols - 1) * s + reach + 1
             view = np.lib.stride_tricks.as_strided(
-                buf[:, :, lo * _TILE * s:], (n, c, b, span),
-                (_TILE * s * st, sc, sb, st), writeable=False)
-            np.matmul(view, band[:, :span, :cols],
+                buf[:, :, lo * _TILE:], (n, c, b, cols + reach),
+                (_TILE * st, sc, sb, st), writeable=False)
+            np.matmul(view, band[:, :cols + reach, :cols],
                       out=out[:, :, lo * _TILE:lo * _TILE + n * cols]
                       .reshape(b, c, n, cols).transpose(2, 1, 0, 3))
     return out
@@ -241,15 +251,12 @@ def _conv(x, spec, weight, bias, axes):
         for m, k, s, d in zip(sizes, ks, strides, dils)
     )
     lead = (slice(None), slice(None))
-    banded = depthwise and n == 1
     w = weight.data
 
-    xp = None if banded else _pad(x.data, pads)  # _banded pads into its own buffer
-    if banded:
-        out = _banded(x.data, w[:, 0], strides[0], dils[0], pads[0], out_sizes[0])
-    elif depthwise:
-        out = _depthwise(_windows(xp, ks, strides, dils), w[:, 0])
+    if depthwise:
+        out = _depthwise(x.data, w[:, 0], dils, pads)
     else:
+        xp = _pad(x.data, pads)
         # per kernel tap, the index of its weights and of the inputs it reads
         taps = [(lead + tap, lead + tuple(
             slice(i * d, i * d + s * (o - 1) + 1, s)
@@ -262,41 +269,24 @@ def _conv(x, spec, weight, bias, axes):
     record_macs(b * spec.out_channels * cin_g * math.prod(ks) * math.prod(out_sizes))
 
     def grad_x(gout):
-        if banded:
-            # adjoint: gout zero-stuffed by the stride, convolved at stride 1 with
-            # the flipped kernel after the dilated reach less the forward's padding
-            (s,), (d,), (k,) = strides, dils, ks
-            if s > 1:
-                stuffed = np.zeros_like(
-                    gout, shape=(b, spec.in_channels, s * (out_sizes[0] - 1) + 1))
-                stuffed[:, :, ::s] = gout
-                gout = stuffed
-            return _banded(gout, w[:, 0, ::-1], 1, d, d * (k - 1) - pads[0], sizes[0])
         if depthwise:
-            # the same adjoint through the window view; the kernel is copied
-            # because matmul takes a slow path on reversed strides
-            reach = [d * (k - 1) for k, d in zip(ks, dils)]
-            gp = np.zeros(xp.shape[:2] + tuple(np.add(xp.shape[2:], reach)), gout.dtype)
-            gp[lead + tuple(slice(r, r + s * o, s)
-                            for r, s, o in zip(reach, strides, out_sizes))] = gout
-            flipped = np.flip(w[:, 0], tuple(range(1, n + 1))).copy()
-            gxp = _depthwise(_windows(gp, ks, (1,) * n, dils), flipped)
-        else:
-            g = _channel_major(gout)
-            if len(taps) == 1 and strides == (1,) * n:
-                # the one tap reads every input once: its product is the gradient
-                return _from_channel_major(w[taps[0][0]].T @ g, b, sizes)
-            gxp = np.zeros((spec.in_channels, b) + xp.shape[2:], gout.dtype)
-            gxp = gxp.swapaxes(0, 1)
-            for tap, at in taps:
-                gxp[at] += _from_channel_major(w[tap].T @ g, b, out_sizes)
-        if any(pads):
-            gxp = gxp[lead + tuple(slice(p, p + m) for p, m in zip(pads, sizes))]
-        return gxp
+            # the same conv with each kernel flipped; copied, because matmul
+            # takes a slow path on reversed strides
+            return _depthwise(gout, np.flip(w[:, 0], tuple(range(1, n + 1))).copy(),
+                              dils, pads)
+        g = _channel_major(gout)
+        if len(taps) == 1 and strides == (1,) * n:
+            # the one tap reads every input once: its product is the gradient
+            return _from_channel_major(w[taps[0][0]].T @ g, b, sizes)
+        gxp = np.zeros((spec.in_channels, b) + xp.shape[2:], gout.dtype)
+        gxp = gxp.swapaxes(0, 1)
+        for tap, at in taps:
+            gxp[at] += _from_channel_major(w[tap].T @ g, b, out_sizes)
+        return gxp[lead + tuple(slice(p, p + m) for p, m in zip(pads, sizes))]
 
     def grad_w(gout):
         if depthwise:
-            view = _windows(_pad(x.data, pads) if banded else xp, ks, strides, dils)
+            view = _windows(_pad(x.data, pads), ks, dils)
             o, k = list(range(2, n + 2)), list(range(n + 2, 2 * n + 2))
             return np.einsum(gout, [0, 1, *o], view, [0, 1, *o, *k], [1, *k])[:, None]
         g = _channel_major(gout)

@@ -64,6 +64,9 @@ class SpectroConfig:
     def __post_init__(self):
         if self.hop < 1:
             raise ValueError(f"hop {self.hop} must be >= 1")
+        if not self.segment_seconds > 0:
+            raise ValueError(
+                f"spectro.segment_seconds {self.segment_seconds} must be > 0")
         if self.win_length > self.fft_size:
             raise ValueError(
                 f"win_length {self.win_length} exceeds fft_size {self.fft_size}"

@@ -111,9 +111,14 @@ class ToyTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("train_size", "eval_size"):
+        for name in ("train_size", "eval_size", "sinusoids_min"):
             if getattr(self, name) < 1:
                 raise ValueError(f"task.{name} {getattr(self, name)} must be >= 1")
+        for low, high in (("sinusoids_min", "sinusoids_max"), ("freq_min", "freq_max"),
+                          ("snr_db_min", "snr_db_max")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"task.{low} {getattr(self, low)} exceeds "
+                                 f"task.{high} {getattr(self, high)}")
 
 
 def _clean_signal(rng, task):

@@ -101,10 +101,25 @@ def test_malformed_value_is_exit_2_naming_the_key(tmp_path, capsys):
     ({"train.batch_size": "0"}, "train.batch_size"),
     ({"train.steps": "0"}, "train.steps"),
     ({"model.ts_block_count": "-1"}, "model.ts_block_count"),
+    # values that once crashed deep in the model, the STFT or the task
+    # generator, or ran on a single frame
+    ({"model.channels": "7", "gpfca.attn_expansion": "3",
+      "gpfca.ffn_expansion": "4"}, "gpfca.attn_expansion"),
+    ({"task.segment_samples": "16"}, "task.segment_samples"),
+    ({"task.segment_samples": "64"}, "task.segment_samples"),
+    ({"task.sinusoids_min": "9"}, "task.sinusoids_min"),
+    ({"task.sinusoids_min": "0"}, "task.sinusoids_min"),
+    ({"task.freq_min": "5000"}, "task.freq_min"),
+    ({"task.snr_db_min": "20"}, "task.snr_db_min"),
+    ({"spectro.segment_seconds": "0"}, "spectro.segment_seconds"),
+    ({"spectro.segment_seconds": "-1"}, "spectro.segment_seconds"),
 ], ids=["3,4,7,11", "3,11,23", "dense.depth", "gpfca.ffn_expansion",
         "hidden-width", "model.channels", "gpfca.attn_expansion", "spectro.hop",
         "task.train_size", "task.eval_size", "train.batch_size", "train.steps",
-        "model.ts_block_count"])
+        "model.ts_block_count", "odd-attention-width", "segment-one-frame",
+        "segment-short-of-reflection", "sinusoids-reversed", "no-sinusoids",
+        "freq-reversed", "snr-reversed", "segment-seconds-zero",
+        "segment-seconds-negative"])
 def test_bad_kernel_group_is_exit_2_naming_the_key(tmp_path, capsys, overrides,
                                                    named):
     path = write_config(tmp_path, **overrides)
@@ -303,6 +318,29 @@ def test_train_negative_steps_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--steps" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["analyze", "--frames", "-3"], "--frames"),
+    (["bench-memory", "--lengths", "0,10"], "--lengths"),
+    (["bench-memory", "--lengths", ","], "--lengths"),
+], ids=["negative-frames", "zero-length", "no-lengths"])
+def test_bad_command_line_value_is_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", "tiny", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err
+    assert "config error" not in err
+
+
+def test_shortest_segment_the_stft_takes_trains(tmp_path, capsys):
+    """65 samples give the tiny STFT 3 frames and exceed its 64-sample
+    centre padding, the least that config.build accepts."""
+    path = write_config(tmp_path, **{"task.segment_samples": "65"})
+    code, _, err = run(capsys, "--config", path, "train", "--steps", "1",
+                       "--out-dir", str(tmp_path / "run"))
+    assert code == 0, err
 
 
 def test_failed_checkpoint_save_is_exit_3_and_leaves_no_temporary(tmp_path, capsys):

@@ -301,12 +301,15 @@ SWEEP_KINDS = ("depthwise", "widening", "full", "pointwise")
 
 def sweep_case(rng, i):
     """Spec number i of the seeded sweep, with its input shape. Rank, kind,
-    padding and striding cycle through every combination; kernel sizes,
+    padding and striding cycle through every combination, except that a
+    depthwise spec is always stride-1 and "same"-padded; kernel sizes,
     strides, dilations, channels and extents are drawn from rng."""
     n = 1 + i % 2
     kind = SWEEP_KINDS[(i // 2) % 4]
     padding = ("same", "valid")[(i // 8) % 2]
     strided = (i // 16) % 2 == 1
+    if kind == "depthwise":
+        padding, strided = "same", False
 
     def draw(choices):
         return tuple(int(rng.choice(choices)) for _ in range(n))
@@ -394,18 +397,15 @@ def test_seeded_sweep_matches_oracle_and_adjoints():
 def test_depthwise_1d_tile_boundaries_match_oracle_and_adjoints():
     """1-D depthwise convs are computed in tiles of 16 outputs. Output
     lengths shorter than one tile and on both sides of one, two and three
-    tiles, for every kernel, stride, dilation and padding below, each held
-    to check_oracle_and_adjoints on input stored in each of LAYOUTS."""
+    tiles, for every kernel and dilation below, each held to
+    check_oracle_and_adjoints on input stored in each of LAYOUTS."""
     for layout in LAYOUTS:
         rng = np.random.default_rng(2029)
-        for t_out, k, s, d, padding in itertools.product(
-                (1, 15, 16, 17, 31, 32, 33, 47, 65), (1, 3, 5, 11, 31), (1, 2, 3),
-                (1, 2, 3), ("same", "valid")):
-            spec = ConvSpec(2, 2, k, stride=s, dilation=d, groups=2, padding=padding)
-            # the input length that gives t_out outputs
-            t = (t_out - 1) * s + (1 if padding == "same" else d * (k - 1) + 1)
-            case = (t_out, k, s, d, padding, layout)
-            got = check_oracle_and_adjoints(rng, spec, (2, 2, t), case, layout)
+        for t_out, k, d in itertools.product(
+                (1, 15, 16, 17, 31, 32, 33, 47, 65), (1, 3, 5, 11, 31), (1, 2, 3)):
+            spec = ConvSpec(2, 2, k, dilation=d, groups=2)
+            case = (t_out, k, d, layout)
+            got = check_oracle_and_adjoints(rng, spec, (2, 2, t_out), case, layout)
             assert got == (2, 2, t_out), case
 
 
@@ -428,15 +428,25 @@ def test_convspec_rejects_bad_configurations():
         ConvSpec(4, 4, 4)  # even kernel with same padding
     with pytest.raises(ShapeError):
         ConvSpec(4, 4, 3, dilation=0)
+    # a depthwise conv takes stride 1 and "same" padding
+    with pytest.raises(ShapeError):
+        ConvSpec(4, 4, 3, stride=2, groups=4)
+    with pytest.raises(ShapeError):
+        ConvSpec(4, 4, (3, 3), stride=(1, 2), groups=4)
+    with pytest.raises(ShapeError):
+        ConvSpec(4, 4, 3, groups=4, padding="valid")
     with pytest.raises(ValueError):
         ConvSpec(4, 4, 3, padding="reflect")
     # even kernels are fine when padding is explicit-valid
     ConvSpec(4, 4, 4, padding="valid")
+    # a one-channel conv with groups 1 is full, so it keeps stride and padding
+    ConvSpec(1, 1, 4, stride=2, padding="valid")
 
 
 def test_convspec_classification():
     assert ConvSpec(8, 8, 3, groups=8).is_depthwise
     assert not ConvSpec(8, 8, 3).is_depthwise
+    assert not ConvSpec(1, 1, 3).is_depthwise
 
 
 def test_conv_shape_errors_name_the_axis():
