@@ -210,11 +210,12 @@ def build(pairs):
     sp = cfg.spectro
     pad = sp.fft_size // 2 if sp.center else 0
     least = max(sp.win_length + sp.hop - 2 * pad, pad + 1)
-    if cfg.task.segment_samples < least:
-        raise ConfigError(
-            f"{cfg.task.segment_samples} samples are too short for the STFT "
-            f"(at least {least} give 2 frames and fit its centre padding)",
-            key="task.segment_samples")
+    for key, samples in (("task.segment_samples", cfg.task.segment_samples),
+                         ("spectro.segment_seconds", sp.segment_samples)):
+        if samples < least:
+            raise ConfigError(
+                f"{samples} samples are too short for the STFT (at least "
+                f"{least} give 2 frames and fit its centre padding)", key=key)
     return cfg
 
 

@@ -4,18 +4,20 @@ A conv is depthwise (groups = in_channels = out_channels > 1) or full
 (groups = 1); pointwise is the one-tap full conv. Depthwise convs have
 stride 1 and "same" padding, as every one in the model does. Both ranks run
 through one routine, with two code paths:
-- depthwise, `_depthwise`: in 1-D (the prime-kernel convs of the gated
-  units) a product with a banded matrix of the kernel over tiles of outputs,
-  one matmul call (two with a partial last tile), `_banded`; in 2-D one
-  strided window view of the padded input, contracted by one matmul per
-  frequency tap. At stride 1 with symmetric padding the adjoint of a conv is
-  the same conv with its kernel flipped, so grad_x is `_depthwise` of the
-  output gradient with flipped kernels;
+- depthwise, `_depthwise`: in blocks of channels of at most _BLOCK_BYTES of
+  input, so that its padded copy and products stay bounded on long inputs.
+  Per block, in 1-D (the prime-kernel convs of the gated units) a product
+  with a banded matrix of the kernel over tiles of outputs, one matmul call
+  (two with a partial last tile), `_banded`; in 2-D one strided window view
+  of the padded block, contracted by one matmul per frequency tap. At
+  stride 1 with symmetric padding the adjoint of a conv is the same conv
+  with its kernel flipped, so grad_x is `_depthwise` of the output gradient
+  with flipped kernels;
 - full: one GEMM per kernel tap, W[:, :, tap] @ X_tap, summed into one
   [C_out, B*out] matrix; X_tap is the channel-major flattening of the strided
   slice of the padded input that the tap reads.
-Memory order follows the input. Padded copies and the 1-D depthwise output
-keep the input's layout; a full conv stores its output channel-major, as
+Memory order follows the input. Padded copies and the depthwise output keep
+the input's layout; a full conv stores its output channel-major, as
 [C, B, *sizes] (C-contiguous when B = 1). On a channel-major input, the
 layout the GPFCA sequence blocks keep, a pointwise X_tap is a free view.
 The gradients of a full conv run the same tap loop: grad_w[:, :, tap] is
@@ -86,6 +88,8 @@ class ConvSpec:
 
 # outputs per band tile of a 1-D depthwise conv (see _banded)
 _TILE = 16
+# most bytes of input per channel block of a depthwise conv (see _depthwise)
+_BLOCK_BYTES = 4 << 20
 
 
 def _as_tuple(v):
@@ -162,21 +166,33 @@ def _summed(parts):
 
 def _depthwise(a, w, dils, pads):
     """Stride-1 depthwise conv of a [B, C, *sizes] with per-channel kernels
-    w [C, *k], with pads[i] zeros on both sides of spatial axis i of a:
-    in 1-D `_banded`; in 2-D one matmul over the first kernel axis of the
-    window view of the padded input for each tap of the other."""
-    if a.ndim == 3:
-        return _banded(a, w, dils[0], pads[0])
-    v = _windows(_pad(a, pads), w.shape[1:], dils)
-    shape = (w.shape[0],) + (1,) * (w.ndim - 2) + (w.shape[1], 1)
-    return _summed(np.matmul(v[(Ellipsis, slice(None)) + tap],
-                             w[(slice(None), slice(None)) + tap].reshape(shape))[..., 0]
-                   for tap in np.ndindex(w.shape[2:]))
+    w [C, *k], with pads[i] zeros on both sides of spatial axis i of a.
+
+    Channels are independent, so they run in blocks of at most _BLOCK_BYTES
+    of `a` (one channel at least), each padded and contracted on its own and
+    written into one output stored in the memory order of `a`: the padded
+    copy and the products stay block-sized whatever the input's size. Per
+    block, in 1-D `_banded`; in 2-D one matmul over the first kernel axis of
+    the window view of the padded block for each tap of the other.
+    """
+    c = a.shape[1]
+    step = max(1, _BLOCK_BYTES * c // max(a.nbytes, 1))
+    out = np.empty_like(a, np.result_type(a, w))
+    for lo in range(0, c, step):
+        blk, wb = (slice(None), slice(lo, lo + step)), w[lo:lo + step]
+        if a.ndim == 3:
+            _banded(a[blk], wb, dils[0], pads[0], out[blk])
+        else:
+            v = _windows(_pad(a[blk], pads), w.shape[1:], dils)
+            out[blk] = _summed(
+                np.matmul(v[..., j], wb[:, :, j].reshape(len(wb), 1, -1, 1))[..., 0]
+                for j in range(w.shape[2]))
+    return out
 
 
-def _banded(a, w, d, pad):
+def _banded(a, w, d, pad, out):
     """1-D depthwise conv of a [B, C, T] with kernels w [C, K] at dilation d,
-    reading a between `pad` zeros on each side:
+    reading a between `pad` zeros on each side, written into out [B, C, T]:
     out[b, c, o] = sum_k w[c, k] * a[b, c, o + k*d - pad] for o < T.
 
     A GEMM with a banded (Toeplitz) matrix of the kernel, after Chellapilla,
@@ -186,10 +202,9 @@ def _banded(a, w, d, pad):
     `a` is copied once, into the zero-padded buffer; the left operand is an
     as_strided view [tiles, C, B, span] of it whose GEMM rows are batch items,
     so BLAS reads it in place, and one matmul writes through out= into a
-    transposed view of the [B, C, T] result. Buffer and result keep the memory
-    order of `a`, so a channel-major input (stored as [C, B, T]) gives a
-    channel-major output. Tiles are the outer loop so that consecutive GEMMs
-    write neighbouring channels of the same output rows.
+    transposed view of `out`. The buffer keeps the memory order of `a`.
+    Tiles are the outer loop so that consecutive GEMMs write neighbouring
+    channels of the same output rows.
     A partial last tile of r outputs is a second matmul with the band's first
     r columns and the rows they reach.
     """
@@ -201,7 +216,6 @@ def _banded(a, w, d, pad):
     band = np.zeros((c, _TILE + reach, _TILE), dtype)
     i = np.arange(_TILE)[:, None]
     band[:, i + np.arange(w.shape[1]) * d, i] = w[:, None]
-    out = np.empty_like(buf, shape=(b, c, t))
     sb, sc, st = buf.strides
     full, r = divmod(t, _TILE)
     for lo, n, cols in ((0, full, _TILE), (full, int(r > 0), r)):
@@ -211,8 +225,7 @@ def _banded(a, w, d, pad):
                 (_TILE * st, sc, sb, st), writeable=False)
             np.matmul(view, band[:, :cols + reach, :cols],
                       out=out[:, :, lo * _TILE:lo * _TILE + n * cols]
-                      .reshape(b, c, n, cols).transpose(2, 1, 0, 3))
-    return out
+                      .reshape(b, c, n, cols, copy=False).transpose(2, 1, 0, 3))
 
 
 def _conv(x, spec, weight, bias, axes):

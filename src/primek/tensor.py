@@ -16,6 +16,8 @@ and a channel chunk of it is one contiguous block.
 
 from __future__ import annotations
 
+import functools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -297,8 +299,7 @@ def mean_axis(x, axis, keepdims=True):
 # ---------------------------------------------------------------------------
 
 def absolute(x):
-    sign = np.sign(x.data)
-    return _op(np.abs(x.data), (x, lambda g: g * sign))
+    return _op(np.abs(x.data), (x, lambda g: g * np.sign(x.data)))
 
 
 def powf(x, p):
@@ -319,13 +320,18 @@ def sin(x):
 def atan2(y, x):
     if y.shape != x.shape:
         raise ShapeError(f"atan2 shapes differ: {y.shape} vs {x.shape}")
-    denom = y.data * y.data + x.data * x.data
-    # at the origin both numerators are 0: a 1 there gives the subgradient 0
-    denom = np.where(denom == 0, 1.0, denom)
+    @functools.cache
+    def denom():
+        """y² + x², built by the first edge that needs it and shared by both."""
+        d = y.data * y.data + x.data * x.data
+        # at the origin both numerators are 0: a 1 there gives the subgradient 0
+        d[d == 0] = 1.0
+        return d
+
     return _op(
         np.arctan2(y.data, x.data),
-        (y, lambda g: g * x.data / denom),
-        (x, lambda g: -g * y.data / denom),
+        (y, lambda g: g * x.data / denom()),
+        (x, lambda g: -g * y.data / denom()),
     )
 
 
@@ -339,11 +345,19 @@ def prelu(x, alpha):
     if alpha.data.ndim != 1 or x.data.ndim < 2 or x.shape[1] != alpha.shape[0]:
         raise ShapeError(f"prelu: x {x.shape} vs alpha {alpha.shape}")
     view = _channel_view(alpha.data, x.data.ndim)
-    pos = x.data > 0
+    # alpha * min(x, 0) + max(x, 0): branch-free, where np.where's choice per
+    # element is slow on data of random sign
+    out = np.minimum(x.data, 0.0)
+    out *= view
+    out += np.maximum(x.data, 0.0)
+    # the gradients build their own arrays, so no_grad builds none. Both
+    # take the memory order numpy gives an op of g and x, which np.where and
+    # np.multiply keep; a masked copy into g * alpha would take g's order,
+    # and `*` reuses the minimum's buffer, taking x's
     return _op(
-        np.where(pos, x.data, view * x.data),
-        (x, lambda g: np.where(pos, g, g * view)),
-        (alpha, lambda g: _channel_sum(np.where(pos, 0.0, g * x.data))),
+        out,
+        (x, lambda g: np.where(x.data > 0, g, g * view)),
+        (alpha, lambda g: _channel_sum(np.multiply(g, np.minimum(x.data, 0.0)))),
     )
 
 
@@ -366,11 +380,16 @@ def normalize(x, axes, gain, bias, eps=1e-5):
             f"affine shape {gain.shape} does not match channel extent "
             f"{x.shape[1]}"
         )
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    std = np.sqrt(var + eps)
-    y = (x.data - mu) / std
+    # x is centred once: the centred array gives the variance (as numpy's
+    # var computes it, through the output buffer) and, divided in place, y
+    y = x.data - x.data.mean(axis=axes, keepdims=True)
+    out = np.square(y)
+    std = np.sqrt(out.sum(axis=axes, keepdims=True) / math.prod(
+        x.shape[a] for a in axes) + eps)
+    y /= std
     gview = _channel_view(gain.data, x.data.ndim)
+    np.multiply(gview, y, out=out)
+    out += _channel_view(bias.data, x.data.ndim)
 
     def grad_x(g):
         gh = g * gview
@@ -379,7 +398,7 @@ def normalize(x, axes, gain, bias, eps=1e-5):
         return (gh - m1 - y * m2) / std
 
     return _op(
-        gview * y + _channel_view(bias.data, x.data.ndim),
+        out,
         (x, grad_x),
         (gain, lambda g: _channel_sum(g * y)),
         (bias, _channel_sum),

@@ -113,13 +113,15 @@ def test_malformed_value_is_exit_2_naming_the_key(tmp_path, capsys):
     ({"task.snr_db_min": "20"}, "task.snr_db_min"),
     ({"spectro.segment_seconds": "0"}, "spectro.segment_seconds"),
     ({"spectro.segment_seconds": "-1"}, "spectro.segment_seconds"),
+    # positive, but rounds to 0 samples: centre padding alone made one frame
+    ({"spectro.segment_seconds": "0.00001"}, "spectro.segment_seconds"),
 ], ids=["3,4,7,11", "3,11,23", "dense.depth", "gpfca.ffn_expansion",
         "hidden-width", "model.channels", "gpfca.attn_expansion", "spectro.hop",
         "task.train_size", "task.eval_size", "train.batch_size", "train.steps",
         "model.ts_block_count", "odd-attention-width", "segment-one-frame",
         "segment-short-of-reflection", "sinusoids-reversed", "no-sinusoids",
         "freq-reversed", "snr-reversed", "segment-seconds-zero",
-        "segment-seconds-negative"])
+        "segment-seconds-negative", "segment-seconds-one-frame"])
 def test_bad_kernel_group_is_exit_2_naming_the_key(tmp_path, capsys, overrides,
                                                    named):
     path = write_config(tmp_path, **overrides)

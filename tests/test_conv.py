@@ -1,8 +1,11 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from primek import conv as conv_mod
 from primek import tensor as T
 from primek.conv import ConvSpec, conv1d, conv2d
 from primek.tensor import ShapeError, Tensor
@@ -407,6 +410,52 @@ def test_depthwise_1d_tile_boundaries_match_oracle_and_adjoints():
             case = (t_out, k, d, layout)
             got = check_oracle_and_adjoints(rng, spec, (2, 2, t_out), case, layout)
             assert got == (2, 2, t_out), case
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (ConvSpec(7, 7, (3, 5), stride=(1, 1), dilation=(2, 1), groups=7), (2, 7, 9, 6)),
+    (ConvSpec(7, 7, 5, dilation=2, groups=7), (2, 7, 37)),
+], ids=["conv2d", "conv1d"])
+def test_depthwise_channel_blocks_match_oracle_and_adjoints(monkeypatch, spec,
+                                                           shape):
+    """With _BLOCK_BYTES at three channels of input, a depthwise conv of
+    seven channels runs in blocks of 3, 3 and 1 channels, each padded and
+    contracted on its own; held to check_oracle_and_adjoints on input stored
+    in each of LAYOUTS."""
+    monkeypatch.setattr(conv_mod, "_BLOCK_BYTES", 3 * math.prod(shape[2:]) * shape[0] * 8)
+    kernel = "_banded" if len(shape) == 3 else "_windows"
+    per_block = getattr(conv_mod, kernel)
+    blocks = []
+
+    def spy(a, *args):
+        blocks.append(a.shape[1])
+        return per_block(a, *args)
+
+    monkeypatch.setattr(conv_mod, kernel, spy)
+    with T.no_grad():
+        (conv1d if len(shape) == 3 else conv2d)(
+            Tensor(np.ones(shape)), spec, rand_weight(spec, two_d=len(shape) == 4))
+    assert blocks == [3, 3, 1]
+    for layout in LAYOUTS:
+        check_oracle_and_adjoints(np.random.default_rng(2031), spec, shape,
+                                  (spec, layout), layout)
+
+
+def test_depthwise_2d_forward_peaks_at_blocks_beyond_its_output():
+    """A no_grad 2-D depthwise forward allocates its output and block-sized
+    arrays only (a padded block, the sum of the tap products so far and the
+    next product), never a padded copy or a product of the whole input."""
+    spec = ConvSpec(16, 16, (3, 3), dilation=(2, 2), groups=16)
+    x = Tensor(np.random.default_rng(5).standard_normal((1, 16, 2000, 65)))
+    w = rand_weight(spec, two_d=True)
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            out = conv2d(x, spec, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < out.data.nbytes + 4 * conv_mod._BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------

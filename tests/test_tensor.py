@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,44 @@ def test_prelu_negative_side_scales_by_alpha():
     assert np.allclose(out[0, 1], -1.0)
 
 
+@pytest.mark.parametrize("x_layout, g_layout", itertools.product(LAYOUTS, LAYOUTS))
+def test_prelu_matches_its_select_definition_bit_for_bit(x_layout, g_layout):
+    """Forward and both gradients equal the np.where definition exactly,
+    zeros of x included, and x's gradient is stored in the same order."""
+    # large enough (> 256 KiB) for numpy to reuse temporaries as outputs
+    x0 = RNG.standard_normal((2, 3, 100, 65))
+    x0[0, 0, 0] = 0.0
+    g = stored_as(RNG.standard_normal(x0.shape), g_layout)
+    x = Tensor(stored_as(x0, x_layout), requires_grad=True)
+    alpha = Tensor(RNG.standard_normal(3), requires_grad=True)
+    a = alpha.data.reshape(1, 3, 1, 1)
+    out = T.prelu(x, alpha)
+    assert np.array_equal(out.data, np.where(x0 > 0, x0, a * x0))
+    out._backward_fn(g)
+    want = np.where(x.data > 0, g, g * a)
+    assert np.array_equal(x.grad, want) and x.grad.strides == want.strides
+    assert np.array_equal(alpha.grad, np.where(x.data > 0, 0.0, g * x.data).sum(
+        axis=(0, 2, 3)))
+
+
+def test_normalize_and_prelu_hold_one_temporary_under_no_grad():
+    """Under no_grad each allocates its output and at most one more array
+    of the input's size, and nothing for a backward pass."""
+    x = Tensor(RNG.standard_normal((1, 8, 500, 65)))
+    ones = Tensor(np.ones(8))
+    with T.no_grad():
+        for op in (lambda: T.normalize(x, (2, 3), ones, ones),
+                   lambda: T.prelu(x, ones)):
+            tracemalloc.start()
+            try:
+                out = op()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.01 * x.data.nbytes
+            del out
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -298,6 +337,18 @@ def test_normalize_matches_two_pass_statistics():
     sd = np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
     want = gain.reshape(1, 4, 1, 1) * (x - mu) / sd + bias.reshape(1, 4, 1, 1)
     assert np.abs(out - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_normalize_matches_numpy_statistics_bit_for_bit(layout):
+    """x is centred once, and its variance summed as numpy's var sums it, so
+    the output equals the textbook expression exactly."""
+    x = stored_as(RNG.standard_normal((2, 4, 6, 5)), layout)
+    gain, bias = RNG.standard_normal(4), RNG.standard_normal(4)
+    out = T.normalize(Tensor(x), (2, 3), Tensor(gain), Tensor(bias)).data
+    y = (x - x.mean(axis=(2, 3), keepdims=True)) / np.sqrt(
+        x.var(axis=(2, 3), keepdims=True) + 1e-5)
+    assert np.array_equal(out, gain.reshape(1, 4, 1, 1) * y + bias.reshape(1, 4, 1, 1))
 
 
 @pytest.mark.parametrize("axes", [(1,), (2,), (1, 2)])

@@ -15,9 +15,14 @@ least ten (MIN_PAIRS), as a claimed gain must win nine of ten pairs. The
 output file holds, for every end-to-end metric of every workload that
 BENCHMARK.json declares, each side's runs, median and quartiles and the
 number of pairs the change won (ties count for neither side). `--claim`
-names the metric the change claims to improve; without it `claim.metric` is
-null and the file only shows that nothing got worse. A run that fails its
-output check stops the tool with exit status 1.
+names the metric the change claims to improve; `claim.met` is true when the
+change won at least nine pairs in ten and its median beats the parent's by
+more than the parent's interquartile range. Without `--claim`,
+`claim.metric` and `claim.met` are null. Every metric but the claimed one
+gets `within_bound`: true when the change's median is worse than the
+parent's by no more than that metric's `bound` in BENCHMARK.json, as a
+fraction of the parent's median. A run that fails its output check stops
+the tool with exit status 1.
 """
 
 import argparse
@@ -84,6 +89,7 @@ def main(argv=None):
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     names = [f"{w['name']}.{m}" for w in bench["workloads"] for m in better]
     if args.pairs < MIN_PAIRS:
         p.error(f"--pairs must be at least {MIN_PAIRS}")
@@ -105,18 +111,29 @@ def main(argv=None):
                   f"{runs['parent'][shown][-1]:.6g} change "
                   f"{runs['change'][shown][-1]:.6g}", flush=True)
 
-    claim = {"metric": args.claim, "seeds": seeds}
+    claim = {"metric": args.claim, "met": None, "seeds": seeds}
     for name in names:
-        lower = better[name.split(".", 1)[1]] == "lower"
-        won = sum((c < q) if lower else (c > q)
+        metric = name.split(".", 1)[1]
+        sign = 1 if better[metric] == "lower" else -1
+        won = sum(sign * (q - c) > 0
                   for q, c in zip(runs["parent"][name], runs["change"][name]))
         claim[name] = {"parent": summary(runs["parent"][name]),
                        "change": summary(runs["change"][name]),
                        "change_better_in": int(won), "pairs": args.pairs}
         par, chg = claim[name]["parent"], claim[name]["change"]
+        gain = sign * (par["median"] - chg["median"])
+        if name == args.claim:
+            claim["met"] = bool(10 * won >= 9 * args.pairs
+                                and gain > par["q3"] - par["q1"])
+            verdict = "claim met" if claim["met"] else "claim NOT met"
+        else:
+            claim[name]["within_bound"] = bool(
+                -gain <= bound[metric] * abs(par["median"]))
+            verdict = "within bound" if claim[name]["within_bound"] else "OUT OF BOUND"
         print(f"{name:<28} parent {par['median']:<12.6g} change {chg['median']:<12.6g}"
               f" ({100 * (chg['median'] / par['median'] - 1):+.1f}%), change better "
-              f"in {won}/{args.pairs}, parent IQR {par['q3'] - par['q1']:.4g}")
+              f"in {won}/{args.pairs}, parent IQR {par['q3'] - par['q1']:.4g}: "
+              f"{verdict}")
     out = {
         "what": args.what,
         "command": "python3 perfbench/run.py --workload all --trace 0 --seed "
