@@ -54,6 +54,8 @@ class GpfcaConfig:
             raise ValueError("ffn_expansion must be >= 1")
         if self.attn_expansion < 1:
             raise ValueError("attn_expansion must be >= 1")
+        if not self.norm_eps > 0:
+            raise ValueError(f"gpfca.norm_eps {self.norm_eps} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,8 @@ class DenseBlockSpec:
             raise ValueError("depth must be >= 1")
         if self.variant not in ("DDB", "DSDDB"):
             raise ValueError(f"unknown dense block variant {self.variant!r}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"dense.kernel {self.kernel} must be odd and positive")
         dils = self.dilations
         if dils is None:
             dils = tuple(2 ** i for i in range(self.depth))
@@ -76,6 +80,8 @@ class DenseBlockSpec:
             raise ValueError(
                 f"dilation schedule length {len(dils)} != depth {self.depth}"
             )
+        if min(dils) < 1:
+            raise ValueError(f"dense.dilations {dils} must all be >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,8 @@ class ModelConfig:
             raise ValueError(f"model.channels {self.channels} must be >= 1")
         if self.ts_block_count < 0:
             raise ValueError(f"model.ts_block_count {self.ts_block_count} must be >= 0")
+        if not self.mask_max > 0:
+            raise ValueError(f"model.mask_max {self.mask_max} must be > 0")
         hidden = self.gpfca.ffn_expansion * self.channels
         if hidden % 4 != 0:
             raise ValueError(

@@ -43,31 +43,7 @@ def cmd_analyze(cfg, args):
     sp = cfg.spectro
     frames = args.frames or sp.frame_count(sp.segment_samples)
     report = X.measure(model, sp, frames, sp.bins)
-
-    d, c = cfg.model.dense, cfg.model.channels
-    p_ddb = X.params_ddb(d.depth, c, d.kernel)
-    p_dsddb = X.params_dsddb(d.depth, c, d.kernel)
-    ratio = p_dsddb / p_ddb
-    total_macs = report.entries[-1].measured_macs
-
-    if args.json:
-        payload = json.loads(report.to_json())
-        payload["dense_comparison"] = {
-            "depth": d.depth, "channels": c, "kernel": d.kernel,
-            "params_ddb": p_ddb, "params_dsddb": p_dsddb, "ratio": ratio,
-        }
-        payload["total_macs"] = total_macs
-        payload["total_flops"] = 2 * total_macs
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.to_text())
-        print()
-        print(f"dense variants at (n={d.depth}, C={c}, K={d.kernel}):")
-        print(f"  params_ddb   = {p_ddb}")
-        print(f"  params_dsddb = {p_dsddb}")
-        print(f"  params_dsddb/params_ddb = {p_dsddb}/{p_ddb} = {100 * ratio:.2f}%")
-        print(f"total: {total_macs:,} MACs = {2 * total_macs:,} FLOPs "
-              f"(1 MAC = 2 FLOPs), {model.param_count():,} parameters")
+    print(json.dumps(report, indent=2) if args.json else X.report_text(report))
     return EXIT_OK
 
 
@@ -201,46 +177,10 @@ def cmd_gradcheck(cfg, args):
 # bench-memory
 # ---------------------------------------------------------------------------
 
-def _fit_slope(lengths, series):
-    return float(np.polyfit(np.log(lengths), np.log(series), 1)[0])
-
-
 def cmd_bench_memory(cfg, args):
-    lengths = args.lengths
-    rng = np.random.default_rng(args.seed)
-    c = 16
-    g = cfg.model.gpfca
-    gpfca = B.GpfcaBlock(rng, c, B.GpfcaConfig(
-        kernel_group=g.kernel_group, ffn_expansion=2))
-    attn = B.AttentionReference(rng, c)
-
-    seq_bytes, attn_bytes = [], []
-    for t_len in lengths:
-        x = Tensor(rng.standard_normal((1, c, t_len)))
-        with T.no_grad(), T.track_allocations() as rec:
-            gpfca.forward(x)
-        seq_bytes.append(rec.bytes_allocated)
-        with T.no_grad(), T.track_allocations() as rec:
-            attn.forward(x)
-        attn_bytes.append(rec.bytes_allocated)
-
-    if args.json:
-        payload = {"lengths": lengths, "gpfca_bytes": seq_bytes,
-                   "attention_bytes": attn_bytes}
-        if len(lengths) >= 2:
-            payload["gpfca_slope"] = _fit_slope(lengths, seq_bytes)
-            payload["attention_slope"] = _fit_slope(lengths, attn_bytes)
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-
-    print(f"{'length':>8}{'gpfca bytes':>16}{'attention bytes':>18}")
-    for t_len, sb, ab in zip(lengths, seq_bytes, attn_bytes):
-        print(f"{t_len:>8}{sb:>16,}{ab:>18,}")
-    if len(lengths) >= 2:
-        print(f"log-log slope: gpfca {_fit_slope(lengths, seq_bytes):.3f}, "
-              f"attention {_fit_slope(lengths, attn_bytes):.3f}")
-    else:
-        print("slope omitted (need at least two lengths)")
+    report = X.memory_scaling(cfg.model.gpfca.kernel_group, args.lengths,
+                              args.seed)
+    print(json.dumps(report, indent=2) if args.json else X.memory_text(report))
     return EXIT_OK
 
 

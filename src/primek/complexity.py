@@ -1,5 +1,6 @@
 """Analytic multiply-accumulate and parameter accounting for the dense
-blocks and the assembled model, with instrumented measured counterparts.
+blocks and the assembled model, with instrumented measured counterparts,
+and the reports of `primek analyze` and `primek bench-memory`.
 
 All counts are exact Python integers (arbitrary precision, so no overflow
 concern even though totals routinely exceed 2^32). One MAC is a single
@@ -9,14 +10,11 @@ printed because the literature convention varies.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import blocks as _blocks
 from .spectral import SpectroConfig, Spectrogram
-from .tensor import Tensor, count_macs, no_grad
+from .tensor import Tensor, count_macs, no_grad, track_allocations
 
 
 def _check_positive(**kwargs):
@@ -76,21 +74,16 @@ def measure_block_macs(block, t, f):
 
 
 def _model_macs_at(model, frames, bins):
-    spec = Spectrogram(
-        Tensor(np.zeros((1, bins, frames))),
-        Tensor(np.zeros((1, bins, frames))),
-        _geometry_config(bins),
-    )
+    zeros = Tensor(np.zeros((1, bins, frames)))
     with no_grad(), count_macs() as rec:
-        model.forward(spec)
+        model.forward(Spectrogram(zeros, zeros, _geometry_config(bins)))
     return rec.macs
 
 
 def _geometry_config(bins):
     # a config whose bin count matches; only the shape contract matters here
     fft = 2 * (bins - 1)
-    hop = max(1, fft // 4)
-    return SpectroConfig(fft_size=fft, win_length=fft, hop=hop)
+    return SpectroConfig(fft_size=fft, win_length=fft, hop=max(1, fft // 4))
 
 
 def measure_model_macs(model, cfg, frames, bins):
@@ -102,95 +95,106 @@ def measure_model_macs(model, cfg, frames, bins):
     """
     m1 = _model_macs_at(model, 1, bins)
     m2 = _model_macs_at(model, 2, bins)
-    slope = m2 - m1
-    return m1 + slope * (int(frames) - 1)
+    return m1 + (m2 - m1) * (int(frames) - 1)
 
 
 # ---------------------------------------------------------------------------
-# report
+# reports: plain dicts, which `analyze --json` and `bench-memory --json` print
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ReportEntry:
-    name: str
-    analytic_macs: int
-    measured_macs: int
-    analytic_params: int  # convolution weights only
-    measured_params: int  # convolution weights only, from actual tensors
-    full_params: int      # including biases / norms / slopes
-
-
-@dataclass
-class ComplexityReport:
-    frames: int
-    bins: int
-    entries: list = field(default_factory=list)
-
-    def to_text(self):
-        head = (
-            f"{'block':<22}{'MACs(analytic)':>16}{'MACs(measured)':>16}"
-            f"{'P(analytic)':>13}{'P(measured)':>13}{'P(full)':>11}"
-        )
-        lines = [f"input geometry: t={self.frames} frames, f={self.bins} bins", head,
-                 "-" * len(head)]
-        for e in self.entries:
-            lines.append(
-                f"{e.name:<22}{e.analytic_macs:>16,}{e.measured_macs:>16,}"
-                f"{e.analytic_params:>13,}{e.measured_params:>13,}{e.full_params:>11,}"
-            )
-        return "\n".join(lines)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "frames": self.frames,
-                "bins": self.bins,
-                "entries": [vars(e) for e in self.entries],
-            },
-            indent=2,
-        )
-
 
 def dense_block_entry(name, block, t, f):
+    """Analytic and measured MACs and conv weights of a dense block at
+    [t, f], and all its parameters (biases, norms and slopes too)."""
     spec, c = block.spec, block.channels
-    analytic_fn = macs_ddb if spec.variant == "DDB" else macs_dsddb
-    params_fn = params_ddb if spec.variant == "DDB" else params_dsddb
-    return ReportEntry(
-        name=name,
-        analytic_macs=analytic_fn(spec.depth, c, spec.kernel, t, f),
-        measured_macs=measure_block_macs(block, t, f),
-        analytic_params=params_fn(spec.depth, c, spec.kernel),
-        measured_params=block.conv_weight_count(),
-        full_params=block.param_count(),
-    )
+    macs_fn, params_fn = ((macs_ddb, params_ddb) if spec.variant == "DDB"
+                          else (macs_dsddb, params_dsddb))
+    return {"name": name,
+            "analytic_macs": macs_fn(spec.depth, c, spec.kernel, t, f),
+            "measured_macs": measure_block_macs(block, t, f),
+            "analytic_params": params_fn(spec.depth, c, spec.kernel),
+            "measured_params": block.conv_weight_count(),
+            "full_params": block.param_count()}
 
 
 def measure(model, cfg, frames, bins):
-    """Full ComplexityReport for a model at the given input geometry."""
-    report = ComplexityReport(frames=frames, bins=bins)
+    """Complexity report of a model at the given input geometry: an entry
+    per dense block and one for the whole model, the configured dense
+    block's weights as a DDB and as a DSDDB, and the total MACs and FLOPs."""
     bins_down = (bins + 1) // 2  # after the stride-2 frequency conv
-    report.entries.append(
-        dense_block_entry("encoder.dense", model.encoder.dense, frames, bins)
-    )
-    report.entries.append(
-        dense_block_entry(
-            "mask_decoder.dense", model.mask_decoder.core.dense, frames, bins_down
-        )
-    )
-    report.entries.append(
-        dense_block_entry(
-            "phase_decoder.dense", model.phase_decoder.core.dense, frames, bins_down
-        )
-    )
-    total_macs = measure_model_macs(model, cfg, frames, bins)
-    report.entries.append(
-        ReportEntry(
-            name="model.total",
-            analytic_macs=total_macs,  # conv-only convention; equals measured
-            measured_macs=total_macs,
-            analytic_params=model.conv_weight_count(),
-            measured_params=model.conv_weight_count(),
-            full_params=model.param_count(),
-        )
-    )
+    macs = measure_model_macs(model, cfg, frames, bins)
+    weights = model.conv_weight_count()
+    d, c = model.cfg.dense, model.cfg.channels
+    p_ddb, p_dsddb = params_ddb(d.depth, c, d.kernel), params_dsddb(d.depth, c, d.kernel)
+    return {
+        "frames": frames,
+        "bins": bins,
+        "entries": [
+            dense_block_entry("encoder.dense", model.encoder.dense, frames, bins),
+            dense_block_entry("mask_decoder.dense", model.mask_decoder.core.dense,
+                              frames, bins_down),
+            dense_block_entry("phase_decoder.dense", model.phase_decoder.core.dense,
+                              frames, bins_down),
+            # conv-only convention: the analytic total equals the measured one
+            {"name": "model.total", "analytic_macs": macs, "measured_macs": macs,
+             "analytic_params": weights, "measured_params": weights,
+             "full_params": model.param_count()},
+        ],
+        "dense_comparison": {"depth": d.depth, "channels": c, "kernel": d.kernel,
+                             "params_ddb": p_ddb, "params_dsddb": p_dsddb,
+                             "ratio": p_dsddb / p_ddb},
+        "total_macs": macs,
+        "total_flops": 2 * macs,
+    }
+
+
+def report_text(report):
+    """The text form of a `measure` report."""
+    head = (f"{'block':<22}{'MACs(analytic)':>16}{'MACs(measured)':>16}"
+            f"{'P(analytic)':>13}{'P(measured)':>13}{'P(full)':>11}")
+    lines = [f"input geometry: t={report['frames']} frames, f={report['bins']} bins",
+             head, "-" * len(head)]
+    lines += [f"{e['name']:<22}{e['analytic_macs']:>16,}{e['measured_macs']:>16,}"
+              f"{e['analytic_params']:>13,}{e['measured_params']:>13,}"
+              f"{e['full_params']:>11,}" for e in report["entries"]]
+    d = report["dense_comparison"]
+    ddb, dsddb = d["params_ddb"], d["params_dsddb"]
+    lines += ["",
+              f"dense variants at (n={d['depth']}, C={d['channels']}, K={d['kernel']}):",
+              f"  params_ddb   = {ddb}",
+              f"  params_dsddb = {dsddb}",
+              f"  params_dsddb/params_ddb = {dsddb}/{ddb} = {100 * d['ratio']:.2f}%",
+              f"total: {report['total_macs']:,} MACs = {report['total_flops']:,} FLOPs "
+              f"(1 MAC = 2 FLOPs), {report['entries'][-1]['full_params']:,} parameters"]
+    return "\n".join(lines)
+
+
+def memory_scaling(kernel_group, lengths, seed):
+    """Bytes that a no_grad forward allocates in a 16-channel GPFCA block and
+    in the attention reference at each length, and each log-log slope."""
+    rng = np.random.default_rng(seed)
+    gpfca = _blocks.GpfcaConfig(kernel_group=kernel_group, ffn_expansion=2)
+    modules = {"gpfca": _blocks.GpfcaBlock(rng, 16, gpfca),
+               "attention": _blocks.AttentionReference(rng, 16)}
+    report = {"lengths": lengths, "gpfca_bytes": [], "attention_bytes": []}
+    for t_len in lengths:
+        x = Tensor(rng.standard_normal((1, 16, t_len)))
+        for name, module in modules.items():
+            with no_grad(), track_allocations() as rec:
+                module.forward(x)
+            report[f"{name}_bytes"].append(rec.bytes_allocated)
+    if len(lengths) >= 2:
+        for name in modules:
+            fit = np.polyfit(np.log(lengths), np.log(report[f"{name}_bytes"]), 1)
+            report[f"{name}_slope"] = float(fit[0])
     return report
+
+
+def memory_text(report):
+    """The text form of a `memory_scaling` report."""
+    lines = [f"{'length':>8}{'gpfca bytes':>16}{'attention bytes':>18}"]
+    lines += [f"{t:>8}{g:>16,}{a:>18,}" for t, g, a in zip(
+        report["lengths"], report["gpfca_bytes"], report["attention_bytes"])]
+    lines.append(f"log-log slope: gpfca {report['gpfca_slope']:.3f}, attention "
+                 f"{report['attention_slope']:.3f}" if "gpfca_slope" in report
+                 else "slope omitted (need at least two lengths)")
+    return "\n".join(lines)

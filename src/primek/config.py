@@ -208,8 +208,7 @@ def build(pairs):
     # two STFT frames at least (the phase losses average over frame
     # differences), and with centre padding more samples than it reflects
     sp = cfg.spectro
-    pad = sp.fft_size // 2 if sp.center else 0
-    least = max(sp.win_length + sp.hop - 2 * pad, pad + 1)
+    least = max(sp.win_length + sp.hop - 2 * sp.pad, sp.pad + 1)
     for key, samples in (("task.segment_samples", cfg.task.segment_samples),
                          ("spectro.segment_seconds", sp.segment_samples)):
         if samples < least:

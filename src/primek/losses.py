@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .spectral import istft_rect, stft_rect
+from .spectral import istft_rect, rect, stft_rect
 from .tensor import ShapeError, Tensor
 
 TWO_PI = 2.0 * np.pi
@@ -77,14 +77,12 @@ def _diff_axis(x, axis):
 
 def complex_loss(est_spec, ref_spec):
     """MSE over the rectangular form (m*cos(p), m*sin(p)) of two spectra."""
-    er = T.mul(est_spec.magnitude, T.cos(est_spec.phase))
-    ei = T.mul(est_spec.magnitude, T.sin(est_spec.phase))
-    rr = T.mul(ref_spec.magnitude, T.cos(ref_spec.phase))
-    ri = T.mul(ref_spec.magnitude, T.sin(ref_spec.phase))
-    _check_same_shape(er, rr, "complex_loss")
-    dr = T.sub(er, rr)
-    di = T.sub(ei, ri)
-    half = T.add(T.mean_all(T.mul(dr, dr)), T.mean_all(T.mul(di, di)))
+    est, ref = rect(est_spec), rect(ref_spec)
+    _check_same_shape(est, ref, "complex_loss")
+    diff = T.sub(est, ref)
+    # a mean per part: one mean over both would sum, and round, in another order
+    re, im = (T.crop(diff, 1, i, i + 1) for i in (0, 1))
+    half = T.add(T.mean_all(T.mul(re, re)), T.mean_all(T.mul(im, im)))
     return T.mul_scalar(half, 0.5)
 
 
@@ -100,18 +98,13 @@ def consistency_loss(est_spec, target_len=None):
     cfg = est_spec.config
     t_frames = est_spec.frames
     if target_len is None:
-        if cfg.center:
-            target_len = (t_frames - 1) * cfg.hop
-        else:
-            target_len = cfg.win_length + (t_frames - 1) * cfg.hop
-    re = T.mul(est_spec.magnitude, T.cos(est_spec.phase))
-    im = T.mul(est_spec.magnitude, T.sin(est_spec.phase))
-    rect = T.stack([re, im], axis=1)
-    wave = istft_rect(rect, cfg, target_len)
-    rect_rt = stft_rect(wave, cfg)
-    if rect_rt.shape != rect.shape:
-        rect_rt = T.crop(rect_rt, 3, 0, rect.shape[3])
-    diff = T.sub(rect, rect_rt)
+        target_len = (t_frames - 1) * cfg.hop + (0 if cfg.center else cfg.win_length)
+    est = rect(est_spec)
+    wave = istft_rect(est, cfg, target_len)
+    est_rt = stft_rect(wave, cfg)
+    if est_rt.shape != est.shape:
+        est_rt = T.crop(est_rt, 3, 0, est.shape[3])
+    diff = T.sub(est, est_rt)
     return T.mean_all(T.mul(diff, diff))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import wave as _wavemod
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .tensor import (
     Tensor,
     ShapeError,
     _op,
-    atan2,
     cos,
     mul,
     powf,
@@ -64,6 +63,8 @@ class SpectroConfig:
     def __post_init__(self):
         if self.hop < 1:
             raise ValueError(f"hop {self.hop} must be >= 1")
+        if self.sample_rate < 1:
+            raise ValueError(f"spectro.sample_rate {self.sample_rate} must be >= 1")
         if not self.segment_seconds > 0:
             raise ValueError(
                 f"spectro.segment_seconds {self.segment_seconds} must be > 0")
@@ -89,6 +90,11 @@ class SpectroConfig:
         return self.fft_size // 2 + 1
 
     @property
+    def pad(self):
+        """Samples of reflection padding at each end of a centred STFT."""
+        return self.fft_size // 2 if self.center else 0
+
+    @property
     def segment_samples(self):
         return int(round(self.segment_seconds * self.sample_rate))
 
@@ -108,7 +114,7 @@ class SpectroConfig:
         return float(np.abs(interior - mean).max() / mean)
 
     def frame_count(self, n_samples):
-        n = n_samples + (2 * (self.fft_size // 2) if self.center else 0)
+        n = n_samples + 2 * self.pad
         if n < self.win_length:
             raise ShapeError(
                 f"signal of {n_samples} samples is shorter than the analysis "
@@ -214,7 +220,7 @@ def stft_rect(wave, cfg):
         raise ShapeError(f"stft expects [B, N], got {wave.shape}")
     n = wave.shape[1]
     t_frames = cfg.frame_count(n)
-    p = cfg.fft_size // 2 if cfg.center else 0
+    p = cfg.pad
     win = cfg.analysis_window()
 
     xp = _reflect_pad(wave.data, p) if p else wave.data
@@ -245,7 +251,7 @@ def istft_rect(rect, cfg, target_len):
     win = cfg.analysis_window()
     hop, fft, wl = cfg.hop, cfg.fft_size, cfg.win_length
     full = wl + (t_frames - 1) * hop
-    p = fft // 2 if cfg.center else 0
+    p = cfg.pad
     if p + target_len > full:
         raise ShapeError(
             f"requested {target_len} samples but only {full - p} reconstructible"
@@ -293,13 +299,16 @@ def stft(wave, cfg):
     return Spectrogram(mag, Tensor(ph), cfg)
 
 
-def istft(spec, target_len):
-    """Spectrogram -> waveform [B, N]; differentiable in mag and phase."""
-    cfg = spec.config
+def rect(spec):
+    """Spectrogram -> its rectangular form [B, 2, F, T]: (m cos p, m sin p)."""
     re = mul(spec.magnitude, cos(spec.phase))
     im = mul(spec.magnitude, sin(spec.phase))
-    rect = stack([re, im], axis=1)
-    return istft_rect(rect, cfg, target_len)
+    return stack([re, im], axis=1)
+
+
+def istft(spec, target_len):
+    """Spectrogram -> waveform [B, N]; differentiable in mag and phase."""
+    return istft_rect(rect(spec), spec.config, target_len)
 
 
 def compress(spec):

@@ -39,6 +39,11 @@ class OptConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"opt.{name} {getattr(self, name)} must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError(f"opt.eps {self.eps} must be > 0")
 
 
 class OptState:
@@ -111,7 +116,7 @@ class ToyTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("train_size", "eval_size", "sinusoids_min"):
+        for name in ("sample_rate", "train_size", "eval_size", "sinusoids_min"):
             if getattr(self, name) < 1:
                 raise ValueError(f"task.{name} {getattr(self, name)} must be >= 1")
         for low, high in (("sinusoids_min", "sinusoids_max"), ("freq_min", "freq_max"),
@@ -173,7 +178,8 @@ SI_SNR_CAP_DB = 100.0
 
 
 def si_snr(est, ref):
-    """Scale-invariant SNR in dB, averaged over the batch, capped at 100."""
+    """Scale-invariant SNR in dB, averaged over the batch, each row clipped
+    to +-100: no error scores +100, no component along the reference -100."""
     e = est.data if isinstance(est, Tensor) else np.asarray(est)
     r = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
     e = np.atleast_2d(e) - np.atleast_2d(e).mean(axis=1, keepdims=True)
@@ -186,8 +192,8 @@ def si_snr(est, ref):
     num = (proj * proj).sum(axis=1)
     den = (err * err).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(den == 0.0, np.inf, 10.0 * np.log10(num / den))
-    return float(np.minimum(vals, SI_SNR_CAP_DB).mean())
+        vals = np.where(num == 0.0, -np.inf, 10.0 * np.log10(num / den))
+    return float(np.clip(vals, -SI_SNR_CAP_DB, SI_SNR_CAP_DB).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_03_full_model_budget(capsys):
     frames = sp.frame_count(sp.segment_samples)
     rep = X.measure(model, sp, frames, sp.bins)
     params = model.param_count()
-    macs = rep.entries[-1].measured_macs
+    macs = rep["total_macs"]
     params_ok = abs(params - 1.41e6) / 1.41e6 < 0.10
     macs_ok = abs(macs - 44.64e9) / 44.64e9 < 0.15
     report(capsys, 3, params_ok and macs_ok,
@@ -194,22 +194,9 @@ def test_06_convolutions_match_nested_loop_oracle(capsys):
 
 def test_07_activation_memory_scaling(capsys):
     start = time.time()
-    rng = np.random.default_rng(2)
-    c = 16
-    gpfca = B.GpfcaBlock(rng, c, B.GpfcaConfig(ffn_expansion=2))
-    attn = B.AttentionReference(rng, c)
-    lengths = [250, 500, 1000, 2000, 4000]
-    seq_bytes, attn_bytes = [], []
-    for t_len in lengths:
-        x = Tensor(rng.standard_normal((1, c, t_len)))
-        with T.no_grad(), T.track_allocations() as rec:
-            gpfca.forward(x)
-        seq_bytes.append(rec.bytes_allocated)
-        with T.no_grad(), T.track_allocations() as rec:
-            attn.forward(x)
-        attn_bytes.append(rec.bytes_allocated)
-    s_seq = float(np.polyfit(np.log(lengths), np.log(seq_bytes), 1)[0])
-    s_att = float(np.polyfit(np.log(lengths), np.log(attn_bytes), 1)[0])
+    rep = X.memory_scaling(B.GpfcaConfig().kernel_group,
+                           [250, 500, 1000, 2000, 4000], seed=2)
+    s_seq, s_att = rep["gpfca_slope"], rep["attention_slope"]
     elapsed = time.time() - start
     ok = abs(s_seq - 1.0) < 0.1 and abs(s_att - 2.0) < 0.2 and elapsed < 120
     report(capsys, 7, ok, f"activation memory vs length: convolutional block slope "

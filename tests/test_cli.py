@@ -115,13 +115,30 @@ def test_malformed_value_is_exit_2_naming_the_key(tmp_path, capsys):
     ({"spectro.segment_seconds": "-1"}, "spectro.segment_seconds"),
     # positive, but rounds to 0 samples: centre padding alone made one frame
     ({"spectro.segment_seconds": "0.00001"}, "spectro.segment_seconds"),
+    # values that once silenced the output, diverged at step 2, made a NaN
+    # dataset, or failed without naming their key
+    ({"model.mask_max": "0"}, "model.mask_max"),
+    ({"model.mask_max": "-1"}, "model.mask_max"),
+    ({"opt.beta1": "-0.1"}, "opt.beta1"),
+    ({"opt.beta2": "1.0"}, "opt.beta2"),
+    ({"opt.eps": "0"}, "opt.eps"),
+    ({"task.sample_rate": "0"}, "task.sample_rate"),
+    ({"dense.kernel": "4"}, "dense.kernel"),
+    ({"dense.kernel": "0"}, "dense.kernel"),
+    ({"dense.dilations": "1,0"}, "dense.dilations"),
+    ({"gpfca.norm_eps": "0"}, "gpfca.norm_eps"),
+    ({"spectro.sample_rate": "0"}, "spectro.sample_rate"),
 ], ids=["3,4,7,11", "3,11,23", "dense.depth", "gpfca.ffn_expansion",
         "hidden-width", "model.channels", "gpfca.attn_expansion", "spectro.hop",
         "task.train_size", "task.eval_size", "train.batch_size", "train.steps",
         "model.ts_block_count", "odd-attention-width", "segment-one-frame",
         "segment-short-of-reflection", "sinusoids-reversed", "no-sinusoids",
         "freq-reversed", "snr-reversed", "segment-seconds-zero",
-        "segment-seconds-negative", "segment-seconds-one-frame"])
+        "segment-seconds-negative", "segment-seconds-one-frame",
+        "mask-max-zero", "mask-max-negative", "beta1-negative", "beta2-one",
+        "eps-zero", "task-sample-rate-zero", "dense-kernel-even",
+        "dense-kernel-zero", "dense-dilation-zero", "norm-eps-zero",
+        "spectro-sample-rate-zero"])
 def test_bad_kernel_group_is_exit_2_naming_the_key(tmp_path, capsys, overrides,
                                                    named):
     path = write_config(tmp_path, **overrides)
@@ -177,6 +194,56 @@ def test_analyze_frames_override_scales_macs(capsys):
     e2 = {e["name"]: e for e in p2["entries"]}
     for name in e1:
         assert e1[name]["full_params"] == e2[name]["full_params"]
+
+
+GOLDEN_ANALYZE = """\
+config: tiny (hash 108546446af8b904)
+input geometry: t=9 frames, f=65 bins
+block                   MACs(analytic)  MACs(measured)  P(analytic)  P(measured)    P(full)
+-------------------------------------------------------------------------------------------
+encoder.dense                  238,680         238,680          408          408        456
+mask_decoder.dense             121,176         121,176          408          408        456
+phase_decoder.dense            121,176         121,176          408          408        456
+model.total                  2,007,888       2,007,888        5,328        5,328      5,908
+
+dense variants at (n=2, C=8, K=3):
+  params_ddb   = 1728
+  params_dsddb = 408
+  params_dsddb/params_ddb = 408/1728 = 23.61%
+total: 2,007,888 MACs = 4,015,776 FLOPs (1 MAC = 2 FLOPs), 5,908 parameters
+"""
+
+GOLDEN_BENCH_MEMORY = """\
+config: tiny (hash 108546446af8b904)
+{
+  "lengths": [
+    250,
+    500
+  ],
+  "gpfca_bytes": [
+    832256,
+    1664256
+  ],
+  "attention_bytes": [
+    1628000,
+    6256000
+  ],
+  "gpfca_slope": 0.9997780981244687,
+  "attention_slope": 1.9421398130411047
+}
+"""
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["analyze", "--frames", "9"], GOLDEN_ANALYZE),
+    (["bench-memory", "--lengths", "250,500", "--json"], GOLDEN_BENCH_MEMORY),
+], ids=["analyze", "bench-memory"])
+def test_report_output_is_byte_for_byte_pinned(capsys, argv, golden):
+    """The exact stdout of two reports, as first printed: a change to the
+    report code must leave every byte, float digits included, as it is."""
+    code, out, _ = run(capsys, "--config", "tiny", *argv)
+    assert code == 0
+    assert out == golden
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from primek.blocks import (
     enhance,
 )
 from primek.complexity import (
-    ComplexityReport,
     dense_block_entry,
     macs_dc,
     macs_ddb,
@@ -21,6 +20,7 @@ from primek.complexity import (
     measure_model_macs,
     params_ddb,
     params_dsddb,
+    report_text,
     _model_macs_at,
 )
 from primek.config import default_run_config, tiny_run_config
@@ -172,18 +172,21 @@ def test_report_structure_and_json():
     model, cfg = tiny_model()
     sp = TINY_SP
     report = measure(model, sp, frames=9, bins=sp.bins)
-    names = [e.name for e in report.entries]
+    names = [e["name"] for e in report["entries"]]
     assert names == ["encoder.dense", "mask_decoder.dense",
                      "phase_decoder.dense", "model.total"]
-    for e in report.entries:
-        assert e.measured_params == e.analytic_params
-        assert e.full_params >= e.measured_params
-    total = report.entries[-1]
-    assert total.measured_macs > sum(e.measured_macs for e in report.entries[:-1])
-    payload = json.loads(report.to_json())
-    assert payload["frames"] == 9
-    assert payload["entries"][0]["name"] == "encoder.dense"
-    text = report.to_text()
+    for e in report["entries"]:
+        assert e["measured_params"] == e["analytic_params"]
+        assert e["full_params"] >= e["measured_params"]
+    total = report["entries"][-1]
+    assert total["measured_macs"] > sum(e["measured_macs"]
+                                        for e in report["entries"][:-1])
+    assert report["total_macs"] == total["measured_macs"]
+    assert report["total_flops"] == 2 * report["total_macs"]
+    assert report["dense_comparison"]["params_dsddb"] == params_dsddb(2, 8, 3)
+    assert json.loads(json.dumps(report)) == report
+    assert report["frames"] == 9
+    text = report_text(report)
     assert "model.total" in text and "encoder.dense" in text
 
 
@@ -191,5 +194,5 @@ def test_dense_block_entry_cross_checks():
     spec = DenseBlockSpec(depth=2, dilations=(1, 2), variant="DSDDB")
     blk = DenseBlock(RNG, 8, spec)
     entry = dense_block_entry("dense", blk, 6, 5)
-    assert entry.analytic_macs == entry.measured_macs == macs_dsddb(2, 8, 3, 6, 5)
-    assert entry.analytic_params == entry.measured_params == params_dsddb(2, 8, 3)
+    assert entry["analytic_macs"] == entry["measured_macs"] == macs_dsddb(2, 8, 3, 6, 5)
+    assert entry["analytic_params"] == entry["measured_params"] == params_dsddb(2, 8, 3)

@@ -182,6 +182,22 @@ def test_si_snr_degenerate_error_is_capped():
         si_snr(np.array([[1.0, 0.0]]), np.array([[2.0, 2.0]]))
 
 
+@pytest.mark.parametrize("est", [
+    np.zeros((1, 3)),
+    np.full((1, 3), 3.0),
+    np.array([[1.0, -2.0, 1.0]]),  # zero-mean and orthogonal to the reference
+], ids=["silent", "constant", "orthogonal"])
+def test_si_snr_of_no_component_along_the_reference_is_the_floor(est):
+    """Silent and constant estimates once scored +100, orthogonal ones -inf."""
+    assert si_snr(est, np.array([[1.0, 0.0, -1.0]])) == -SI_SNR_CAP_DB
+
+
+def test_si_snr_of_a_silent_row_lowers_the_batch_mean():
+    ref = RNG.standard_normal((2, 256))
+    est = np.stack([ref[0], np.zeros(256)])
+    assert si_snr(est, ref) == 0.0  # (+100 - 100) / 2
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
