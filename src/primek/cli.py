@@ -199,7 +199,7 @@ def cmd_train(cfg, args):
         weights=cfg.weights, mode=cfg.loss_mode, opt_cfg=cfg.opt,
         out_dir=args.out_dir, batch_size=cfg.batch_size, seed=args.seed,
         checkpoint_every=max(1, steps // 4), progress=progress,
-        config_hash=C.model_hash(cfg),
+        config_hash=C.model_hash(cfg), config=C.dump(cfg),
     )
     _, (eval_clean, eval_noisy) = TR.make_dataset(cfg.task)
     snr_est, snr_noisy = TR.evaluate(result.model, cfg.spectro,

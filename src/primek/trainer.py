@@ -204,16 +204,19 @@ _FIRST_LINE = b"PRIMEK-CHECKPOINT 1\n"
 _DTYPES = ("<f8", "<f4")
 
 
-def save_checkpoint(path, model, step, seed, config_hash=""):
+def save_checkpoint(path, model, step, seed, config_hash="", config=""):
     """One file: a magic line, an 8-byte little-endian header length, a JSON
-    header (config hash, step, seed, and each parameter's name, dtype and
-    shape in sorted-name order), then the parameters' raw bytes in that order.
+    header (config hash, config text, step, seed, and each parameter's name,
+    dtype and shape in sorted-name order), then the parameters' raw bytes in
+    that order.
 
     `config_hash` is the `config.model_hash` of the config the model was
-    built under; an empty one is accepted by any load. The file is written
-    to `<path>.tmp` and swapped in by one `os.replace`, so a reader sees
-    either the previous checkpoint or the new one. If the write or the swap
-    raises, `<path>.tmp` is removed before the error propagates.
+    built under; an empty one is accepted by any load. `config` is that
+    config's full `config.dump` text, recorded for the reader and not
+    checked by a load. The file is written to `<path>.tmp` and swapped in by
+    one `os.replace`, so a reader sees either the previous checkpoint or the
+    new one. If the write or the swap raises, `<path>.tmp` is removed before
+    the error propagates.
     """
     arrays = []
     for name, p in sorted(model.named_params().items()):
@@ -222,7 +225,8 @@ def save_checkpoint(path, model, step, seed, config_hash=""):
             raise ValueError(f"parameter {name}: unsupported dtype {a.dtype}")
         arrays.append((name, a))
     header = json.dumps({
-        "config_hash": config_hash, "step": int(step), "seed": int(seed),
+        "config_hash": config_hash, "config": config, "step": int(step),
+        "seed": int(seed),
         "tensors": [[name, a.dtype.str, a.shape] for name, a in arrays],
     }).encode()
     tmp = f"{path}.tmp"
@@ -250,6 +254,7 @@ def _read_checkpoint(path):
     try:
         header = json.loads(blob[off:end])
         meta = {k: str(header[k]) for k in ("config_hash", "step", "seed")}
+        meta["config"] = str(header.get("config", ""))  # absent in older files
         entries = [(str(name), dtype, tuple(int(n) for n in shape))
                    for name, dtype, shape in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
@@ -271,9 +276,10 @@ def _read_checkpoint(path):
 
 def load_checkpoint(path, model, expect_hash=None):
     """Copy checkpoint `path` into the model's parameters and return its
-    `config_hash`, `step` and `seed` strings. A checkpoint of another config
-    or model raises ValueError; a file that is not a whole checkpoint raises
-    OSError."""
+    `config_hash`, `config`, `step` and `seed` strings (`config` is "" in a
+    file written before checkpoints recorded it). A checkpoint of another
+    config or model raises ValueError; a file that is not a whole checkpoint
+    raises OSError."""
     meta, arrays = _read_checkpoint(path)
     if expect_hash is not None and meta["config_hash"] not in ("", expect_hash):
         raise ValueError(
@@ -349,7 +355,7 @@ def evaluate(model, spectro_cfg, clean, noisy):
 
 def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
               batch_size, out_dir=".", seed=None, checkpoint_every=0,
-              progress=None, config_hash=""):
+              progress=None, config_hash="", config=""):
     """Seeded end-to-end training on the synthetic task.
 
     Writes an append-only per-step log and a final checkpoint; on
@@ -357,7 +363,8 @@ def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
     Each log line holds `step=`, the loss components, `total=`, the pre-clip
     gradient norm `grad_norm=`, `clipped=1` if clipping scaled the gradients
     (else 0) and `step_ms=`, the wall time from batch selection to the end of
-    the optimizer update.
+    the optimizer update. Every checkpoint records `config_hash` and `config`
+    (see save_checkpoint).
     """
     seed = task.seed if seed is None else seed
     model = EnhancementModel(model_cfg, seed=seed)
@@ -368,7 +375,8 @@ def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint")
     log_path = os.path.join(out_dir, "train_log.txt")
-    save_checkpoint(ckpt_path, model, step=0, seed=seed, config_hash=config_hash)
+    save_checkpoint(ckpt_path, model, step=0, seed=seed, config_hash=config_hash,
+                    config=config)
     result = TrainResult(model=model, checkpoint=ckpt_path, log_path=log_path)
 
     order = np.random.default_rng(seed + 1).permutation(len(train_clean))
@@ -400,7 +408,7 @@ def train_toy(model_cfg, spectro_cfg, task, steps, *, weights, mode, opt_cfg,
             log.flush()
             if step == steps or (checkpoint_every and step % checkpoint_every == 0):
                 save_checkpoint(ckpt_path, model, step=step, seed=seed,
-                                config_hash=config_hash)
+                                config_hash=config_hash, config=config)
             if progress and step % 100 == 0:
                 progress(step, float(total.data))
     return result

@@ -32,17 +32,20 @@ def test_bench_pairs_rejects_fewer_than_ten_pairs_and_a_run_length(
     assert message in capsys.readouterr().err
 
 
-def fake_pairs(tool, monkeypatch, change):
+def fake_pairs(tool, monkeypatch, change, failed=lambda side, seed: 0):
     """Replace the revision extraction and the perfbench runs: the parent
-    reads `seed` on every metric, the change `change(name, seed)`. Returns
-    the list of trees run."""
+    reads `seed` on every metric, the change `change(name, seed)`; each run
+    attempts 20 operations, of which `failed(side, seed)` fail. Returns the
+    list of trees run."""
     trees = []
     monkeypatch.setattr(tool, "extract", lambda rev, dest: "f" * 40)
 
     def fake_run(tree, seed):
         trees.append(tree)
-        return {name: change(name, seed) if tree == str(tool.ROOT) else seed
-                for name in metric_names()}
+        side = "change" if tree == str(tool.ROOT) else "parent"
+        values = {name: change(name, seed) if side == "change" else seed
+                  for name in metric_names()}
+        return values, {"attempted": 20, "failed": failed(side, seed)}
 
     monkeypatch.setattr(tool, "run_benchmark", fake_run)
     return trees
@@ -110,3 +113,23 @@ def test_bench_pairs_claim_is_met_by_nine_pairs_and_a_gap_beyond_the_iqr(
     assert "within_bound" not in claim[claimed]
     assert all(claim[name]["within_bound"] for name in metric_names()
                if name != claimed)
+
+
+def test_bench_pairs_records_each_sides_operations_and_failed_share(
+        tmp_path, monkeypatch, capsys):
+    """Every run's attempted and failed operation counts are kept per side,
+    with the side's failed share over all its runs, and the share is
+    printed: a rise in it rejects a change as a worse metric does."""
+    tool = load_tool()
+    fake_pairs(tool, monkeypatch, lambda name, seed: seed,
+               failed=lambda side, seed: seed % 2 if side == "change" else 0)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "HEAD", "--seed", "1", "--out", str(out)]) == 0
+    ops = json.loads(out.read_text())["operations"]
+    assert ops["parent"] == {"attempted": [20] * 10, "failed": [0] * 10,
+                             "failed_share": 0.0}
+    assert ops["change"] == {"attempted": [20] * 10, "failed": [1, 0] * 5,
+                             "failed_share": 5 / 200}
+    printed = capsys.readouterr().out
+    assert "parent operations: 0 of 200 failed (0.0%)" in printed
+    assert "change operations: 5 of 200 failed (2.5%)" in printed

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from primek.blocks import (
     enhance,
 )
 from primek.complexity import params_ddb, params_dsddb
-from primek.config import tiny_run_config
+from primek.config import default_run_config, tiny_run_config
 from primek.conv import ConvSpec
 from primek.spectral import SpectroConfig, Spectrogram, compress, decompress, istft, stft
 from primek.tensor import ShapeError, Tensor
@@ -398,6 +399,155 @@ def test_model_hands_channel_major_sequences_to_its_blocks(monkeypatch):
     with T.no_grad():
         enhance(wave, model, TINY_SP)
     assert seen == [True] * 4 * TINY_MODEL.ts_block_count
+
+
+# ---------------------------------------------------------------------------
+# row tiles of the GPFCA blocks
+# ---------------------------------------------------------------------------
+
+def hidden_row_bytes(blk, length):
+    """Bytes of one row of the block's FFN hidden activation (float64)."""
+    return blk.ffn.expand.spec.out_channels * length * 8
+
+
+def perturbed_block(rng, model_cfg):
+    blk = GpfcaBlock(rng, model_cfg.channels, model_cfg.gpfca)
+    for p in blk.named_params().values():
+        p.data += 0.3 * rng.standard_normal(p.shape)  # scales start at zero
+    return blk
+
+
+def tiled_run(blk, x, proj, tile_bytes, monkeypatch):
+    """The block's output, input gradient and parameter gradients for `x`
+    with _ROW_TILE_BYTES at `tile_bytes`, and the rows of each tile run,
+    first under no_grad and then with gradients."""
+    monkeypatch.setattr(B, "_ROW_TILE_BYTES", tile_bytes)
+    rows_run, run_rows = [], GpfcaBlock._rows
+
+    def spy(self, tile):
+        rows_run.append(tile.shape[0])
+        return run_rows(self, tile)
+
+    monkeypatch.setattr(GpfcaBlock, "_rows", spy)
+    with T.no_grad():
+        plain = blk.forward(Tensor(x)).data
+    tiles = list(rows_run)
+    blk.zero_grad()
+    xt = Tensor(x, requires_grad=True)
+    out = blk.forward(xt)
+    T.sum_all(T.mul(out, Tensor(proj))).backward()
+    assert rows_run == 2 * tiles
+    grads = {n: p.grad for n, p in blk.named_params().items()}
+    monkeypatch.undo()
+    return plain, out.data, xt.grad, grads, tiles
+
+
+# [rows, C, L] as EnhancementModel hands them over, as (rows, L), and the
+# rows per tile to run: time blocks get B*F rows of T frames, frequency
+# blocks B*T rows of F bins. The first four are the perfbench clips (0.5 s
+# `default`: F = 101 after downsampling, T = 81; 15 s `tiny`: F = 33,
+# T = 7501), whose tiles run bit-identical; "narrow" has 104-column
+# pointwise GEMMs per tile, which do not.
+TILE_CASES = {
+    "default-time": (default_run_config, 101, 81, 24, True),
+    "default-freq": (default_run_config, 81, 101, 24, True),
+    "tiny-time": (tiny_run_config, 33, 7501, 8, True),
+    "tiny-freq": (tiny_run_config, 7501, 33, 1992, True),
+    "default-narrow": (default_run_config, 202, 13, 8, False),
+}
+
+
+@pytest.mark.parametrize("make_cfg, rows, length, step, exact",
+                         TILE_CASES.values(), ids=TILE_CASES.keys())
+def test_row_tiles_match_one_tile(monkeypatch, make_cfg, rows, length, step,
+                                  exact):
+    """With _ROW_TILE_BYTES at step + 7 rows of FFN hidden, the block runs
+    tiles of `step` rows (rounded down to a multiple of 8) from row 0, and
+    the last tile takes the remainder. On the perfbench geometries the
+    output and the input gradient equal the one-tile run's bit for bit,
+    under no_grad and with gradients. Where a tile's GEMMs are narrow
+    (under ~1e6 multiply-adds OpenBLAS takes another kernel, which rounds
+    the columns past the last multiple of 8 differently) they are within
+    1e-13 of their largest entry (measured: 6.6e-16). Each weight gradient
+    is a sum over tiles, within 1e-14 of its largest entry (measured: up
+    to 2.4e-15)."""
+    model_cfg = make_cfg().model
+    rng = np.random.default_rng(rows + length)
+    blk = perturbed_block(rng, model_cfg)
+    shape = (rows, model_cfg.channels, length)
+    x = stored_as(rng.standard_normal(shape), "channel_major")
+    proj = rng.standard_normal(shape)
+    whole = tiled_run(blk, x, proj, 1 << 62, monkeypatch)
+    tiled = tiled_run(blk, x, proj, (step + 7) * hidden_row_bytes(blk, length),
+                      monkeypatch)
+    assert whole[4] == [rows]
+    assert rows % step and tiled[4] == [step] * (rows // step - 1) + [step + rows % step]
+    assert len(tiled[4]) >= 3
+    for want, got in zip(whole[:3], tiled[:3], strict=True):
+        if exact:
+            assert np.array_equal(want, got)
+        else:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert is_channel_major(tiled[1]) and is_channel_major(tiled[2])
+    for name, want in whole[3].items():
+        got = tiled[3][name]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("length, rows", [(81, 101), (101, 81)],
+                         ids=["time", "freq"])
+def test_gpfca_block_peaks_at_its_widest_row_tile(length, rows):
+    """A no_grad `default` block on the sequences of a 0.5 s clip allocates
+    its output and about three hidden activations of its widest row tile
+    (the expansion, the gated unit's quarters and their concatenation),
+    never a hidden activation of every row. The widest tile is the last:
+    `step` rows plus the remainder, `step` the most rows, a multiple of 8,
+    whose hidden fits _ROW_TILE_BYTES. Untiled, this block peaks at 160 MB."""
+    rng = np.random.default_rng(19)
+    blk = perturbed_block(rng, default_run_config().model)
+    x = Tensor(stored_as(rng.standard_normal((rows, 64, length)), "channel_major"))
+    row_bytes = hidden_row_bytes(blk, length)
+    step = B._ROW_TILE_BYTES // row_bytes // 8 * 8
+    widest = (step + rows % step) * row_bytes
+    assert rows // step >= 2 and widest < 2 * B._ROW_TILE_BYTES
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            out = blk.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < out.data.nbytes + 4 * widest
+
+
+def random_weight_model(model_cfg, seed):
+    """A model whose every weight is drawn from N(0, 1/fan_in) and every
+    vector parameter moved by N(0, 0.1^2): the zero-initialised heads and
+    residual scales would hide the sequence blocks from the output."""
+    model = EnhancementModel(model_cfg, seed=seed)
+    rng = np.random.default_rng([seed, 1])
+    for _, p in sorted(model.named_params().items()):
+        if p.ndim >= 2:
+            p.data[...] = rng.normal(0.0, 1.0 / np.sqrt(np.prod(p.shape[1:])), p.shape)
+        else:
+            p.data += rng.normal(0.0, 0.1, p.shape)
+    return model
+
+
+def test_default_enhance_of_2s_in_row_tiles_is_within_1e13_of_one_tile(monkeypatch):
+    """A 2 s `default` enhance runs its time blocks in 12 tiles and its
+    frequency blocks in 13; its output is within 1e-13 of its largest
+    sample of the one-tile output (measured: 2.3e-15, from the SCA's
+    [C, rows] products of a 33-row last tile)."""
+    cfg = default_run_config()
+    model = random_weight_model(cfg.model, seed=1901)
+    wave = Tensor(0.3 * np.random.default_rng(3).standard_normal(
+        (1, 2 * cfg.spectro.sample_rate)))
+    with T.no_grad():
+        tiled = enhance(wave, model, cfg.spectro).data
+        monkeypatch.setattr(B, "_ROW_TILE_BYTES", 1 << 62)
+        whole = enhance(wave, model, cfg.spectro).data
+    assert np.abs(tiled - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import primek.cli as cli
+from primek import blocks as B
 from primek import config as C
+from primek import trainer as TR
 from primek.blocks import DenseBlockSpec, ModelConfig
 from primek.complexity import params_ddb, params_dsddb
 from primek.spectral import wav_read, wav_write
@@ -458,6 +460,17 @@ def task_only_checkpoint(tmp_path_factory):
     assert cli.main(["--config", cfg, "train", "--steps", "2",
                      "--out-dir", str(tmp / "run")]) == 0
     return str(tmp / "run" / "checkpoint")
+
+
+def test_train_checkpoint_records_its_full_config(task_only_checkpoint):
+    """`train` writes the config's full dump beside its model hash, task keys
+    included, and the dump rebuilds to that hash."""
+    model = B.EnhancementModel(C.tiny_run_config().model)
+    meta = TR.load_checkpoint(task_only_checkpoint, model)
+    assert "task.train_size = 4\n" in meta["config"]
+    rebuilt = C.build(C.parse(meta["config"]))
+    assert C.model_hash(rebuilt) == meta["config_hash"] == MODEL_HASHES["tiny"]
+    assert meta["config"] == C.dump(rebuilt)
 
 
 def test_enhance_accepts_checkpoint_differing_only_outside_model(

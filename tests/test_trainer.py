@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from primek import config as C
 from primek import trainer
 from primek.blocks import DenseBlockSpec, EnhancementModel
 from primek.config import tiny_run_config
@@ -210,6 +211,40 @@ def test_checkpoint_roundtrip(tmp_path):
     meta = load_checkpoint(path, other)
     assert meta["step"] == "17"
     assert meta["config_hash"] == "abc"
+    for name, p in model.named_params().items():
+        assert np.array_equal(p.data, other.named_params()[name].data)
+
+
+def test_checkpoint_config_text_round_trips_to_its_model_hash(tmp_path):
+    """The full config dump written beside the hash comes back from a load,
+    and builds a config with the recorded model hash."""
+    model = EnhancementModel(TINY_MODEL, seed=1)
+    path = tmp_path / "ckpt"
+    text = C.dump(TINY_RUN)
+    save_checkpoint(path, model, step=2, seed=1,
+                    config_hash=C.model_hash(TINY_RUN), config=text)
+    meta = load_checkpoint(path, EnhancementModel(TINY_MODEL, seed=2))
+    assert meta["config"] == text
+    assert C.model_hash(C.build(C.parse(meta["config"]))) == meta["config_hash"]
+    assert meta["config_hash"] == C.model_hash(TINY_RUN)
+
+
+def test_checkpoint_without_config_text_loads_with_an_empty_one(tmp_path):
+    """A checkpoint written before headers held the config text still loads;
+    its `config` reads ""."""
+    model = EnhancementModel(TINY_MODEL, seed=1)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, model, step=5, seed=1, config_hash="abc", config="x = 1\n")
+    first, rest = path.read_bytes().split(b"\n", 1)
+    size = int.from_bytes(rest[:8], "little")
+    header = json.loads(rest[8:8 + size])
+    del header["config"]
+    old = json.dumps(header).encode()
+    path.write_bytes(first + b"\n" + len(old).to_bytes(8, "little") + old
+                     + rest[8 + size:])
+    other = EnhancementModel(TINY_MODEL, seed=2)
+    meta = load_checkpoint(path, other, expect_hash="abc")
+    assert meta == {"config_hash": "abc", "config": "", "step": "5", "seed": "1"}
     for name, p in model.named_params().items():
         assert np.array_equal(p.data, other.named_params()[name].data)
 

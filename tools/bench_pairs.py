@@ -21,8 +21,11 @@ more than the parent's interquartile range. Without `--claim`,
 `claim.metric` and `claim.met` are null. Every metric but the claimed one
 gets `within_bound`: true when the change's median is worse than the
 parent's by no more than that metric's `bound` in BENCHMARK.json, as a
-fraction of the parent's median. A run that fails its output check stops
-the tool with exit status 1.
+fraction of the parent's median. `operations` holds each side's
+`attempted` and `failed` operation counts per run and its failed share
+(failed ÷ attempted over all its runs), which the tool also prints: a rise
+in that share counts against a change as a worse metric does. A run that
+fails its output check stops the tool with exit status 1.
 """
 
 import argparse
@@ -56,7 +59,8 @@ def extract(rev, dest):
 
 
 def run_benchmark(tree, seed):
-    """The combined metrics of one `--workload all` run in `tree`."""
+    """The combined metrics of one `--workload all` run in `tree`, and its
+    `attempted` and `failed` operation counts."""
     cmd = [sys.executable, str(Path(tree) / "perfbench" / "run.py"), "--workload",
            "all", "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True,
@@ -66,7 +70,8 @@ def run_benchmark(tree, seed):
     if proc.returncode != 0 or not result.get("correct"):
         sys.exit(f"bench_pairs: run in {tree} (seed {seed}) failed with exit "
                  f"status {proc.returncode}:\n{proc.stdout}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return values, {k: int(result[k]) for k in ("attempted", "failed")}
 
 
 def summary(runs):
@@ -97,15 +102,18 @@ def main(argv=None):
         p.error(f"--claim must be one of {', '.join(names)}")
     seeds = [args.seed + i for i in range(args.pairs)]
     runs = {side: {name: [] for name in names} for side in ("parent", "change")}
+    ops = {side: {"attempted": [], "failed": []} for side in ("parent", "change")}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent = extract(args.parent, tmp)
         trees = {"parent": tmp, "change": str(ROOT)}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                values = run_benchmark(trees[side], seed)
+                values, counts = run_benchmark(trees[side], seed)
                 for name in names:
                     runs[side][name].append(values[name])
+                for key, n in counts.items():
+                    ops[side][key].append(n)
             shown = args.claim or names[0]
             print(f"pair {i + 1}/{args.pairs} seed {seed}: {shown} parent "
                   f"{runs['parent'][shown][-1]:.6g} change "
@@ -134,6 +142,11 @@ def main(argv=None):
               f" ({100 * (chg['median'] / par['median'] - 1):+.1f}%), change better "
               f"in {won}/{args.pairs}, parent IQR {par['q3'] - par['q1']:.4g}: "
               f"{verdict}")
+    for side, counts in ops.items():
+        attempted, failed = sum(counts["attempted"]), sum(counts["failed"])
+        counts["failed_share"] = failed / attempted if attempted else 0.0
+        print(f"{side} operations: {failed} of {attempted} failed "
+              f"({100 * counts['failed_share']:.1f}%)")
     out = {
         "what": args.what,
         "command": "python3 perfbench/run.py --workload all --trace 0 --seed "
@@ -143,6 +156,7 @@ def main(argv=None):
                    f"{platform.python_version()}, {platform.machine()}; perfbench "
                    "runs BLAS on 1 thread",
         "claim": claim,
+        "operations": ops,
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
