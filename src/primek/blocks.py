@@ -19,8 +19,12 @@ columns of a narrow or unaligned GEMM operand differently from the same
 columns of a wide product. With both rules the tiled output is
 bit-identical on the clips measured, and within ~1e-15 where the SCA's
 narrow [C, rows] product still rounds differently (a 2 s `default` clip).
-Weight gradients are sums over tiles, so they differ by a few ulps. An
-input that fits one tile runs untiled, with no crop or concat.
+Tiles run only with gradients off. With gradients on, the tape keeps every
+tile's activations, so tiles would save no memory, each tile's crop
+backward would add a zero gradient of the whole input, and the weight
+gradients would become sums over tiles that differ from the untiled ones
+by a few ulps. An input that fits one tile runs untiled, with no crop or
+concat.
 """
 
 from __future__ import annotations
@@ -303,13 +307,14 @@ class GpfcaBlock(Module):
         self.scale2 = self.param("scale2", _zeros(c))
 
     def forward(self, x):
-        """x: [rows, C, L] -> [rows, C, L], in row tiles (module docstring),
-        concatenated in the memory order of the first tile's output."""
+        """x: [rows, C, L] -> [rows, C, L]; with gradients off, in row
+        tiles (module docstring) concatenated in the memory order of the
+        first tile's output."""
         rows = x.shape[0]
         row_bytes = self.ffn.expand.spec.out_channels * x.shape[2] * x.data.itemsize
         step = max(8, _ROW_TILE_BYTES // row_bytes // 8 * 8)
         tiles = rows // step
-        if tiles < 2:
+        if tiles < 2 or T._grad_enabled:
             return self._rows(x)
         cuts = [i * step for i in range(tiles)] + [rows]
         return T.concat([self._rows(T.crop(x, 0, lo, hi))
