@@ -505,7 +505,7 @@ class EnhancementModel(Module):
         """
         mag, phase = compressed.magnitude, compressed.phase
         if self.cfg.identity_mode:
-            return Tensor(np.ones(mag.shape)), Tensor(np.array(phase.data))
+            return Tensor(np.ones_like(mag.data)), Tensor(np.array(phase.data))
         x = T.stack([T.transpose(mag, (0, 2, 1)), T.transpose(phase, (0, 2, 1))],
                     axis=1)  # [B, 2, T, F]
         h = self.encoder.forward(x)

@@ -6,6 +6,7 @@ The paper's metric-discriminator term is out of scope and has no weight.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +111,8 @@ def consistency_loss(est_spec, target_len=None):
 
 def total_loss(weights, magnitude=None, phase=None, complex_=None,
                time=None, consistency=None):
-    """Weighted sum of the component losses that are given, in the order
-    magnitude, phase, complex, time, consistency."""
-    total = Tensor(np.zeros(()))
+    """Weighted sum of the given component losses, in their dtype and in the
+    order magnitude, phase, complex, time, consistency."""
     pairs = [
         (weights.magnitude, magnitude),
         (weights.phase, phase),
@@ -120,7 +120,6 @@ def total_loss(weights, magnitude=None, phase=None, complex_=None,
         (weights.time, time),
         (weights.consistency, consistency),
     ]
-    for w, comp in pairs:
-        if w != 0.0 and comp is not None:
-            total = T.add(total, T.mul_scalar(comp, w))
-    return total
+    terms = [T.mul_scalar(comp, w) for w, comp in pairs
+             if w != 0.0 and comp is not None]
+    return functools.reduce(T.add, terms) if terms else Tensor(np.zeros(()))

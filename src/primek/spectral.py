@@ -202,8 +202,8 @@ def _overlap_add(frames, hop, length):
     return out.reshape(frames.shape[:-2] + (rows * hop,))[..., :length]
 
 
-def _rfft_bin_scale(fft_size):
-    scale = np.full(fft_size // 2 + 1, 2.0)
+def _rfft_bin_scale(fft_size, dtype):
+    scale = np.full(fft_size // 2 + 1, 2.0, dtype)
     scale[0] = 1.0
     if fft_size % 2 == 0:
         scale[-1] = 1.0
@@ -221,7 +221,7 @@ def stft_rect(wave, cfg):
     n = wave.shape[1]
     t_frames = cfg.frame_count(n)
     p = cfg.pad
-    win = cfg.analysis_window()
+    win = cfg.analysis_window().astype(wave.dtype)
 
     xp = _reflect_pad(wave.data, p) if p else wave.data
     frames = _frame(xp, cfg, t_frames) * win  # [B, T, win]
@@ -232,7 +232,7 @@ def stft_rect(wave, cfg):
 
     def grad(g):
         h = g[:, 0].transpose(0, 2, 1) + 1j * g[:, 1].transpose(0, 2, 1)
-        h = h / _rfft_bin_scale(cfg.fft_size)
+        h = h / _rfft_bin_scale(cfg.fft_size, win.dtype)
         frame_grad = cfg.fft_size * np.fft.irfft(h, n=cfg.fft_size, axis=-1)
         frame_grad = frame_grad[..., : cfg.win_length] * win
         gpad = _overlap_add(frame_grad, cfg.hop, xp.shape[1])
@@ -248,7 +248,7 @@ def istft_rect(rect, cfg, target_len):
             f"istft expects [B, 2, {cfg.bins}, T], got {rect.shape}"
         )
     b, _, _, t_frames = rect.shape
-    win = cfg.analysis_window()
+    win = cfg.analysis_window().astype(rect.dtype)
     hop, fft, wl = cfg.hop, cfg.fft_size, cfg.win_length
     full = wl + (t_frames - 1) * hop
     p = cfg.pad
@@ -267,12 +267,12 @@ def istft_rect(rect, cfg, target_len):
     out = np.ascontiguousarray(y[:, p: p + target_len])
 
     def grad(g):
-        gy = np.zeros((b, full))
+        gy = np.zeros((b, full), win.dtype)
         gy[:, p: p + target_len] = g
         gy /= wss
         frame_grad = _frame(gy, cfg, t_frames) * win
         spec = np.fft.rfft(frame_grad, n=fft, axis=-1)
-        scale = _rfft_bin_scale(fft) / fft
+        scale = _rfft_bin_scale(fft, win.dtype) / fft
         gre = (spec.real * scale).transpose(0, 2, 1)
         gim = (spec.imag * scale).transpose(0, 2, 1)
         gim[:, 0] = 0.0  # irfft ignores imaginary parts of the DC bin
@@ -290,7 +290,7 @@ def istft_rect(rect, cfg, target_len):
 def stft(wave, cfg):
     """wave [B, N] tensor (or array) -> Spectrogram with exact mag/phase."""
     if not isinstance(wave, Tensor):
-        wave = Tensor(np.atleast_2d(np.asarray(wave, dtype=np.float64)))
+        wave = Tensor(np.atleast_2d(wave))
     rect = stft_rect(wave, cfg)
     re, im = rect.data[:, 0], rect.data[:, 1]
     mag = Tensor(np.hypot(re, im))
@@ -353,8 +353,7 @@ def wav_read(path):
 
 
 def wav_write(path, wave, sample_rate):
-    data = wave.data if isinstance(wave, Tensor) else np.asarray(wave)
-    data = np.asarray(data, dtype=np.float64).reshape(-1)
+    data = (wave.data if isinstance(wave, Tensor) else np.asarray(wave)).reshape(-1)
     quantized = np.clip(np.round(data * 32768.0), -32768, 32767).astype("<i2")
     with _wavemod.open(str(path), "wb") as fh:
         fh.setnchannels(1)

@@ -1,10 +1,12 @@
 """Dense tensor type with reverse-mode automatic differentiation.
 
 Everything downstream (convolutions, spectral transforms, blocks, losses)
-is built from the operations in this module. Values are numpy arrays in
-float64, which gives finite-difference verification enough headroom. It is
-the only supported dtype: there is no float32 mode yet, and float32 data
-passed through the model comes out float64.
+is built from the operations in this module. Values are numpy arrays, and
+numpy's type promotion is the only dtype rule: `Tensor(data)` keeps a
+floating array's dtype (other data becomes float64). Widths are chosen only
+where data is created (parameter init, `wav_read`, the toy dataset, and the
+gradcheck, complexity and DFT-oracle inputs), all float64, which gives
+finite-difference checks headroom; float32 data runs in float32.
 
 Ops keep the memory order of their inputs: `transpose` and `crop` (so
 `chunk`) return views, `reshape` copies only where numpy must, `concat`
@@ -21,8 +23,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-
-DEFAULT_DTYPE = np.float64
 
 
 class ShapeError(ValueError):
@@ -85,8 +85,10 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
+        if not np.issubdtype(arr.dtype, np.floating):
+            arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -176,7 +178,7 @@ def _op(data, *edges):
     requires a gradient; it runs the grad_fn of each such parent, in edge
     order, and accumulates the result into that parent.
     """
-    out = Tensor(data, dtype=data.dtype if hasattr(data, "dtype") else None)
+    out = Tensor(data)
     if any(np.may_share_memory(out.data, p.data) for p, _ in edges):
         for rec in _recorders:  # Tensor() counted it, but a view allocates none
             rec.bytes_allocated -= out.data.nbytes

@@ -52,8 +52,8 @@ class OptState:
     def __init__(self, params, cfg):
         self.cfg = cfg
         self.step = 0
-        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
-        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
 
 def adamw_step(params, state):
@@ -70,7 +70,7 @@ def adamw_step(params, state):
     for name, p in params.items():
         g = p.grad
         if g is None:
-            g = np.zeros(p.shape)
+            g = np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
         m = state.m[name]
@@ -275,11 +275,11 @@ def _read_checkpoint(path):
 
 
 def load_checkpoint(path, model, expect_hash=None):
-    """Copy checkpoint `path` into the model's parameters and return its
-    `config_hash`, `config`, `step` and `seed` strings (`config` is "" in a
-    file written before checkpoints recorded it). A checkpoint of another
-    config or model raises ValueError; a file that is not a whole checkpoint
-    raises OSError."""
+    """Copy checkpoint `path` into the model's parameters, cast to their
+    dtype, and return its `config_hash`, `config`, `step` and `seed` strings
+    (`config` is "" in a file written before checkpoints recorded it). A
+    checkpoint of another config or model raises ValueError, a file that is
+    not a whole checkpoint OSError, both before any parameter is written."""
     meta, arrays = _read_checkpoint(path)
     if expect_hash is not None and meta["config_hash"] not in ("", expect_hash):
         raise ValueError(
@@ -296,10 +296,9 @@ def load_checkpoint(path, model, expect_hash=None):
         )
     for name, a in arrays.items():
         if a.shape != params[name].shape:
-            raise ValueError(
-                f"parameter {name}: checkpoint shape {a.shape} != model "
-                f"shape {params[name].shape}"
-            )
+            raise ValueError(f"parameter {name}: checkpoint shape {a.shape} != "
+                             f"model shape {params[name].shape}")
+    for name, a in arrays.items():
         params[name].data[...] = a
     return meta
 

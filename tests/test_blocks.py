@@ -549,6 +549,30 @@ def test_default_enhance_of_2s_in_row_tiles_is_within_1e13_of_one_tile(monkeypat
     assert np.abs(tiled - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
+@pytest.mark.parametrize("seed", [0, 8, 11])
+def test_float32_tiny_enhance_is_float32_and_within_25db_of_float64(seed):
+    """A float32 model given float32 audio runs in float32 and stays close
+    to float64 on the same (float32-representable) weights and input.
+    Measured on 1 s of white noise over seeds 0-19: 30.1-37.2 dB (seeds 8
+    and 11 are among the lowest). Precision is lost in the mask (41-46 dB)
+    and in the phase head, where random weights put atan2's arguments near
+    the origin."""
+    cfg = tiny_run_config()
+    wide = random_weight_model(cfg.model, seed)
+    narrow = random_weight_model(cfg.model, seed)
+    for p, q in zip(wide.named_params().values(), narrow.named_params().values()):
+        q.data = p.data.astype(np.float32)
+        p.data[...] = q.data
+    x = (0.3 * np.random.default_rng(seed).standard_normal(
+        (1, cfg.spectro.sample_rate))).astype(np.float32)
+    with T.no_grad():
+        ref = enhance(Tensor(x.astype(np.float64)), wide, cfg.spectro).data
+        out = enhance(Tensor(x), narrow, cfg.spectro).data
+    assert out.dtype == np.float32
+    snr = 10 * np.log10(np.sum(ref ** 2) / np.sum((out - ref) ** 2))
+    assert snr > 25
+
+
 # ---------------------------------------------------------------------------
 # dense blocks
 # ---------------------------------------------------------------------------
@@ -700,6 +724,15 @@ def test_enhance_identity_mode_reconstructs():
     assert out.shape == (1, 2048)
     err = np.sum((out.data - x) ** 2)
     assert 10 * np.log10(np.sum(x ** 2) / max(err, 1e-300)) > 60
+
+
+def test_enhance_identity_mode_keeps_float32():
+    model = EnhancementModel(replace(TINY_MODEL, identity_mode=True), seed=0)
+    x = RNG.standard_normal((1, 2048)).astype(np.float32)
+    with T.no_grad():
+        out = enhance(Tensor(x), model, TINY_SP)
+    assert out.dtype == np.float32
+    assert np.abs(out.data - x).max() < 1e-5
 
 
 def test_untrained_model_enhance_reconstructs():

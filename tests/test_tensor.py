@@ -6,6 +6,7 @@ import pytest
 
 from primek import tensor as T
 from primek.conv import ConvSpec, conv1d, conv2d
+from primek.spectral import SpectroConfig, istft_rect, stft_rect
 from primek.tensor import ShapeError, Tensor
 from test_conv import LAYOUTS, is_channel_major, stored_as
 
@@ -529,3 +530,74 @@ def test_nested_recorders_each_receive_every_event():
     assert outer.macs == inner.macs + 7
     assert outer.bytes_allocated == inner.bytes_allocated + 4 * 8
 
+
+
+# ---------------------------------------------------------------------------
+# dtype rule: a floating array keeps its width through every op
+# ---------------------------------------------------------------------------
+
+SMALL_SP = SpectroConfig(fft_size=16, win_length=16, hop=4)  # 17 frames of 64 samples
+
+# Every public op and conv kind, with the shapes of its tensor arguments.
+FLOAT32_OPS = {
+    **MULTI_INPUT_OPS,
+    "mul_scalar": (lambda x: T.mul_scalar(x, 0.3), [(2, 3)]),
+    "sum_all": (T.sum_all, [(2, 3)]),
+    "mean_all": (T.mean_all, [(2, 3)]),
+    "mean_axis": (lambda x: T.mean_axis(x, 1), [(2, 3, 4)]),
+    "absolute": (T.absolute, [(2, 3)]),
+    "powf": (lambda x: T.powf(x, 0.3), [(2, 3)]),
+    "cos": (T.cos, [(2, 3)]),
+    "sin": (T.sin, [(2, 3)]),
+    "sigmoid": (T.sigmoid, [(2, 3)]),
+    "reshape": (lambda x: T.reshape(x, (3, 2)), [(2, 3)]),
+    "transpose": (lambda x: T.transpose(x, (1, 0)), [(2, 3)]),
+    "crop": (lambda x: T.crop(x, 1, 1, 3), [(2, 3)]),
+    "chunk": (lambda x: T.chunk(x, 2)[1], [(2, 4, 3)]),
+    "repeat_axis": (lambda x: T.repeat_axis(x, 1, 2), [(2, 3)]),
+    "stack": (lambda a, b: T.stack([a, b]), [(2, 3), (2, 3)]),
+    "conv1d_depthwise": (lambda x, w, b: conv1d(x, ConvSpec(3, 3, 5, groups=3), w, b),
+                         [(2, 3, 8), (3, 1, 5), (3,)]),
+    "conv2d_full": (lambda x, w, b: conv2d(x, ConvSpec(3, 2, (3, 3), stride=(1, 2)), w, b),
+                    [(2, 3, 5, 6), (2, 3, 3, 3), (2,)]),
+    "stft_rect": (lambda x: stft_rect(x, SMALL_SP), [(2, 64)]),
+    "istft_rect": (lambda r: istft_rect(r, SMALL_SP, 64), [(2, 2, SMALL_SP.bins, 17)]),
+}
+
+
+@pytest.mark.parametrize("name", list(FLOAT32_OPS))
+def test_float32_inputs_give_float32_outputs_and_gradients(name, monkeypatch):
+    """Every array an op or its backward hands to the tape is float32: the
+    spy sees the gradients before `_accumulate` casts them to the
+    parent's dtype."""
+    op, shapes = FLOAT32_OPS[name]
+    rng = np.random.default_rng(9)
+    parents = [Tensor(rng.uniform(0.5, 1.5, s).astype(np.float32), requires_grad=True)
+               for s in shapes]
+    out = op(*parents)
+    assert out.dtype == np.float32
+    seen = []
+    accumulate = T._accumulate
+    monkeypatch.setattr(T, "_accumulate",
+                        lambda t, g: (seen.append(g.dtype), accumulate(t, g)))
+    proj = Tensor(rng.standard_normal(out.shape).astype(np.float32))
+    T.sum_all(T.mul(out, proj)).backward()
+    assert seen and set(seen) == {np.dtype(np.float32)}
+    assert all(p.grad.dtype == np.float32 for p in parents)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_tensor_keeps_the_dtype_of_a_floating_array(dtype):
+    data = np.arange(3, dtype=dtype)
+    assert Tensor(data).dtype == dtype
+    assert Tensor(data).data is data
+
+
+@pytest.mark.parametrize("data", [np.arange(3), np.array([True, False]), [1, 2],
+                                  [0.5, 1.5], 3, 2.5, True],
+                         ids=["int_array", "bool_array", "int_list", "float_list",
+                              "int", "float", "bool"])
+def test_tensor_of_other_data_is_float64(data):
+    t = Tensor(data)
+    assert t.dtype == np.float64
+    assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))

@@ -340,6 +340,21 @@ def test_malformed_checkpoint_raises_oserror_and_leaves_model(tmp_path, corrupt)
         assert np.array_equal(p.data, before[k])
 
 
+def test_shape_mismatch_raises_valueerror_and_leaves_model(tmp_path):
+    """Every shape is checked before any parameter is copied: the kernels
+    that differ come after 22 other arrays in the file's name order."""
+    path = tmp_path / "ckpt"
+    odd = replace(TINY_MODEL, gpfca=replace(TINY_MODEL.gpfca,
+                                            kernel_group=(3, 11, 23, 29)))
+    save_checkpoint(path, EnhancementModel(odd, seed=1), step=0, seed=1)
+    other = EnhancementModel(TINY_MODEL, seed=2)
+    before = {k: p.data.copy() for k, p in other.named_params().items()}
+    with pytest.raises(ValueError, match="shape"):
+        load_checkpoint(path, other)
+    for k, p in other.named_params().items():
+        assert np.array_equal(p.data, before[k])
+
+
 def test_save_interrupted_between_renames_keeps_previous_checkpoint(
         tmp_path, monkeypatch):
     model = EnhancementModel(TINY_MODEL, seed=1)
@@ -466,3 +481,28 @@ def test_every_parameter_gets_a_gradient_from_the_loss():
     largest = max(peak.values())
     dead = sorted(name for name, g in peak.items() if g < 1e-8 * largest)
     assert dead == []
+
+
+def test_float32_training_steps_keep_float32_state():
+    """A float32 model trained on float32 batches keeps its parameters,
+    their gradients and the AdamW moments float32."""
+    cfg = tiny_run_config()
+    model = EnhancementModel(cfg.model, seed=0)
+    params = model.named_params()
+    for p in params.values():
+        p.data = p.data.astype(np.float32)
+    state = OptState(params, cfg.opt)
+    (clean, noisy), _ = make_dataset(ToyTaskSpec(**TINY_TASK_KW))
+    clean, noisy = clean.astype(np.float32), noisy.astype(np.float32)
+    for step in range(3):
+        total, comps = step_losses(model, cfg.spectro, clean[:2], noisy[:2],
+                                   cfg.weights, mode=cfg.loss_mode)
+        assert total.dtype == np.float32
+        assert all(c.dtype == np.float32 for c in comps.values())
+        model.zero_grad()
+        total.backward()
+        clip_grad_norm(params, cfg.opt.grad_clip)
+        adamw_step(params, state)
+        for name, p in params.items():
+            assert p.dtype == np.float32 and p.grad.dtype == np.float32, name
+            assert state.m[name].dtype == state.v[name].dtype == np.float32, name
