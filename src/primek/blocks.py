@@ -25,6 +25,18 @@ backward would add a zero gradient of the whole input, and the weight
 gradients would become sums over tiles that differ from the untiled ones
 by a few ulps. An input that fits one tile runs untiled, with no crop or
 concat.
+
+`enhance` runs a file through the model in segments of
+`spectro.segment_seconds` (as STFT frames, `seg`) when gradients are off, so
+its peak memory does not grow with file length; only the waveform, its STFT
+and one rectangular accumulator span the whole file. Neighbouring segments
+overlap by seg // 8 frames (one at least), and the last segment ends on the
+last frame, so it may overlap its neighbour by more. Each segment's estimate
+is cross-faded in the rectangular domain, (m cos p, m sin p), not on mask
+and phase, whose angles wrap: its weight is 1 inside and ramps linearly over
+the overlap at each edge it shares, and the weighted sum is divided by the
+sum of the weights. A file no longer than one segment, or any call with
+gradients on, runs through the model whole, as before.
 """
 
 from __future__ import annotations
@@ -37,13 +49,26 @@ import numpy as np
 
 from . import tensor as T
 from .conv import ConvSpec, conv1d, conv2d
-from .spectral import Spectrogram, SpectroConfig, compress, decompress, istft, stft
+from .spectral import (
+    Spectrogram,
+    SpectroConfig,
+    compress,
+    decompress,
+    istft,
+    istft_rect,
+    rect,
+    stft,
+)
 from .tensor import ShapeError, Tensor
 
 
 # most bytes of FFN hidden activation per row tile of a GPFCA block (module
 # docstring); a last tile with the remainder folded in holds under twice that
 _ROW_TILE_BYTES = 16 << 20
+
+# neighbouring `enhance` segments overlap by 1/_SEGMENT_OVERLAP_DIV of a
+# segment's frames, one at least (module docstring)
+_SEGMENT_OVERLAP_DIV = 8
 
 
 def _is_prime(n):
@@ -523,18 +548,69 @@ class EnhancementModel(Module):
         return mask, phase_hat
 
 
+def segment_starts(cfg, frames):
+    """First frame of each segment that a no_grad `enhance` of `frames` STFT
+    frames runs: [0] when they fit one segment of cfg.segment_samples, else
+    segments of exactly that many frames, seg, each starting
+    seg - max(1, seg // 8) frames after the one before, the last ending on
+    the last frame."""
+    seg = cfg.frame_count(cfg.segment_samples)
+    if frames <= seg:
+        return [0]
+    step = max(1, seg - _overlap(seg))
+    return list(range(0, frames - seg, step)) + [frames - seg]
+
+
+def _overlap(seg):
+    return max(1, seg // _SEGMENT_OVERLAP_DIV)
+
+
+def _estimate(model, comp):
+    """Compressed noisy spectrogram -> decompressed enhanced spectrogram."""
+    mask, phase_hat = model.forward(comp)
+    mag_hat_c = T.mul(mask, comp.magnitude)
+    return decompress(Spectrogram(mag_hat_c, phase_hat, comp.config))
+
+
 def enhance(noisy_wave, model, cfg):
     """Full pipeline: analysis, masking, phase estimation, resynthesis.
 
-    noisy_wave: Tensor [B, N]; returns Tensor [B, N].
+    noisy_wave: Tensor [B, N]; returns Tensor [B, N]. With gradients off, a
+    file longer than one segment (spectro.segment_seconds) runs through the
+    model one segment at a time (segment_starts); neighbours overlap by 1/8
+    of a segment and are cross-faded in the rectangular domain before one
+    iSTFT of the whole file (module docstring). A file of at most one
+    segment, or any call with gradients on, runs through the model whole.
     """
     n = noisy_wave.shape[-1]
-    spec = stft(noisy_wave, cfg)
-    comp = compress(spec)
-    mask, phase_hat = model.forward(comp)
-    mag_hat_c = T.mul(mask, comp.magnitude)
-    est = decompress(Spectrogram(mag_hat_c, phase_hat, cfg))
-    return istft(est, n)
+    starts = segment_starts(cfg, cfg.frame_count(n))
+    if len(starts) == 1 or T._grad_enabled:
+        return istft(_estimate(model, compress(stft(noisy_wave, cfg))), n)
+    # the compressed spectrogram is freed before the iSTFT's whole-file buffers
+    return istft_rect(_blend(model, compress(stft(noisy_wave, cfg)), starts), cfg, n)
+
+
+def _blend(model, comp, starts):
+    """Rectangular estimate [B, 2, F, T] of the segments that start at
+    `starts`, cross-faded over their overlaps (module docstring)."""
+    mag, phase = comp.magnitude.data, comp.phase.data
+    seg = comp.frames - starts[-1]
+    ov = _overlap(seg)
+    ramp = np.arange(1, ov + 1, dtype=mag.dtype) / (ov + 1)
+    acc = np.zeros((mag.shape[0], 2) + mag.shape[1:], mag.dtype)
+    wsum = np.zeros(comp.frames, mag.dtype)
+    for i, s in enumerate(starts):
+        w = np.ones(seg, mag.dtype)
+        if i > 0:
+            w[:ov] = ramp
+        if i < len(starts) - 1:
+            w[-ov:] = ramp[::-1]
+        part = Spectrogram(Tensor(mag[..., s:s + seg]), Tensor(phase[..., s:s + seg]),
+                           comp.config)
+        acc[..., s:s + seg] += rect(_estimate(model, part)).data * w
+        wsum[s:s + seg] += w
+    acc /= wsum
+    return Tensor(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,9 @@ def cmd_enhance(cfg, args):
     S.wav_write(args.output, out, rate)
     n = out.shape[-1]
     rtf = (time.perf_counter() - start) / (n / rate)
-    print(f"wrote {args.output} ({n} samples at {rate} Hz, "
+    segments = len(B.segment_starts(cfg.spectro, cfg.spectro.frame_count(n)))
+    print(f"wrote {args.output} ({n} samples at {rate} Hz, {segments} "
+          f"segment{'' if segments == 1 else 's'}, "
           f"RTF {rtf:.3f}, peak RSS {_peak_rss_mb():.1f} MB)")
     return EXIT_OK
 

@@ -86,8 +86,8 @@ def _geometry_config(bins):
     return SpectroConfig(fft_size=fft, win_length=fft, hop=max(1, fft // 4))
 
 
-def measure_model_macs(model, cfg, frames, bins):
-    """Measured conv MACs of a full forward at the given geometry.
+def _forward_macs(model, frames, bins):
+    """Measured conv MACs of one forward at the given geometry.
 
     Every convolution in the model contributes an integer count that is
     affine in the frame axis, so the total at any frame count follows
@@ -96,6 +96,14 @@ def measure_model_macs(model, cfg, frames, bins):
     m1 = _model_macs_at(model, 1, bins)
     m2 = _model_macs_at(model, 2, bins)
     return m1 + (m2 - m1) * (int(frames) - 1)
+
+
+def measure_model_macs(model, cfg, frames, bins):
+    """Measured conv MACs of a no_grad `blocks.enhance` of `frames` frames
+    under the STFT config cfg: one forward when they fit one segment, else
+    one forward per segment (`blocks.segment_starts`)."""
+    starts = _blocks.segment_starts(cfg, int(frames))
+    return len(starts) * _forward_macs(model, int(frames) - starts[-1], bins)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +129,7 @@ def measure(model, cfg, frames, bins):
     per dense block and one for the whole model, the configured dense
     block's weights as a DDB and as a DSDDB, and the total MACs and FLOPs."""
     bins_down = (bins + 1) // 2  # after the stride-2 frequency conv
-    macs = measure_model_macs(model, cfg, frames, bins)
+    macs = _forward_macs(model, frames, bins)
     weights = model.conv_weight_count()
     d, c = model.cfg.dense, model.cfg.channels
     p_ddb, p_dsddb = params_ddb(d.depth, c, d.kernel), params_dsddb(d.depth, c, d.kernel)

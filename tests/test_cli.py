@@ -331,6 +331,22 @@ def test_enhance_identity_mode_roundtrip(tmp_path, capsys):
     assert snr > 60
 
 
+def test_enhance_names_its_segment_count(tmp_path, capsys):
+    """A 1 s `tiny` WAV runs in 9 segments of 2048 samples; the one-segment
+    clip of the round trip above says `1 segment`."""
+    cfg = write_config(tmp_path, **{"model.identity_mode": "true"})
+    src = make_wav(tmp_path / "in.wav", n=16000)
+    dst = tmp_path / "out.wav"
+    code, out, _ = run(capsys, "--config", cfg, "enhance", src, str(dst))
+    assert code == 0
+    assert "(16000 samples at 16000 Hz, 9 segments, RTF " in out
+    assert re.search(r"RTF ([0-9.]+), peak RSS ([0-9.]+) MB\)", out), out
+    src = make_wav(tmp_path / "short.wav")
+    code, out, _ = run(capsys, "--config", cfg, "enhance", src, str(dst))
+    assert code == 0
+    assert "(2048 samples at 16000 Hz, 1 segment, RTF " in out
+
+
 def test_enhance_without_checkpoint_or_identity_is_exit_2(tmp_path, capsys):
     src = make_wav(tmp_path / "in.wav")
     code, _, err = run(capsys, "--config", "tiny", "enhance", src,

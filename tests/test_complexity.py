@@ -168,6 +168,20 @@ def test_model_macs_are_affine_in_frames():
     assert predicted == actual
 
 
+def test_model_macs_count_every_enhance_segment():
+    """A 1 s `tiny` enhance runs 9 segments, so it counts 9 forwards of one
+    segment, as perfbench's traced MAC check expects."""
+    model, cfg = tiny_model()
+    sp = TINY_SP
+    wave = Tensor(0.3 * np.random.default_rng(0).standard_normal((1, sp.sample_rate)))
+    with no_grad(), count_macs() as rec:
+        enhance(wave, model, sp)
+    frames = sp.frame_count(sp.sample_rate)
+    seg = sp.frame_count(sp.segment_samples)
+    assert rec.macs == measure_model_macs(model, sp, frames, sp.bins)
+    assert rec.macs == 9 * _model_macs_at(model, seg, sp.bins)
+
+
 def test_report_structure_and_json():
     model, cfg = tiny_model()
     sp = TINY_SP
