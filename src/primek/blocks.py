@@ -26,17 +26,17 @@ gradients would become sums over tiles that differ from the untiled ones
 by a few ulps. An input that fits one tile runs untiled, with no crop or
 concat.
 
-`enhance` runs a file through the model in segments of
-`spectro.segment_seconds` (as STFT frames, `seg`) when gradients are off, so
-its peak memory does not grow with file length; only the waveform, its STFT
-and one rectangular accumulator span the whole file. Neighbouring segments
+`enhance` always runs with gradients off. It runs a file through the model
+in segments of `spectro.segment_seconds` (as STFT frames, `seg`), so its
+peak memory does not grow with file length; only the waveform, its STFT and
+one rectangular accumulator span the whole file. Neighbouring segments
 overlap by seg // 8 frames (one at least), and the last segment ends on the
 last frame, so it may overlap its neighbour by more. Each segment's estimate
 is cross-faded in the rectangular domain, (m cos p, m sin p), not on mask
 and phase, whose angles wrap: its weight is 1 inside and ramps linearly over
 the overlap at each edge it shares, and the weighted sum is divided by the
-sum of the weights. A file no longer than one segment, or any call with
-gradients on, runs through the model whole, as before.
+sum of the weights. A file no longer than one segment runs through the
+model whole. Training and `enhance` share one estimate step, `estimate`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from . import tensor as T
 from .conv import ConvSpec, conv1d, conv2d
 from .spectral import (
     Spectrogram,
-    SpectroConfig,
     compress,
     decompress,
     istft,
@@ -523,12 +522,11 @@ class EnhancementModel(Module):
         self.mask_decoder = self.child("mask_decoder", MaskDecoder(rng, cfg))
         self.phase_decoder = self.child("phase_decoder", PhaseDecoder(rng, cfg))
 
-    def forward(self, compressed):
-        """compressed: Spectrogram with power-law compressed magnitude.
+    def forward(self, mag, phase):
+        """mag: power-law compressed magnitude [B, F, T]; phase [B, F, T].
 
         Returns (mask [B, F, T] in (0, mask_max), phase [B, F, T]).
         """
-        mag, phase = compressed.magnitude, compressed.phase
         if self.cfg.identity_mode:
             return Tensor(np.ones_like(mag.data)), Tensor(np.array(phase.data))
         x = T.stack([T.transpose(mag, (0, 2, 1)), T.transpose(phase, (0, 2, 1))],
@@ -549,8 +547,8 @@ class EnhancementModel(Module):
 
 
 def segment_starts(cfg, frames):
-    """First frame of each segment that a no_grad `enhance` of `frames` STFT
-    frames runs: [0] when they fit one segment of cfg.segment_samples, else
+    """First frame of each segment that `enhance` runs for `frames` STFT
+    frames: [0] when they fit one segment of cfg.segment_samples, else
     segments of exactly that many frames, seg, each starting
     seg - max(1, seg // 8) frames after the one before, the last ending on
     the last frame."""
@@ -565,35 +563,36 @@ def _overlap(seg):
     return max(1, seg // _SEGMENT_OVERLAP_DIV)
 
 
-def _estimate(model, comp):
-    """Compressed noisy spectrogram -> decompressed enhanced spectrogram."""
-    mask, phase_hat = model.forward(comp)
-    mag_hat_c = T.mul(mask, comp.magnitude)
-    return decompress(Spectrogram(mag_hat_c, phase_hat, comp.config))
+def estimate(model, comp):
+    """Compressed noisy spectrogram -> compressed enhanced spectrogram: the
+    mask scales the magnitude and the phase head's output is the phase."""
+    mask, phase_hat = model.forward(comp.magnitude, comp.phase)
+    return Spectrogram(T.mul(mask, comp.magnitude), phase_hat, comp.config)
 
 
 def enhance(noisy_wave, model, cfg):
     """Full pipeline: analysis, masking, phase estimation, resynthesis.
 
-    noisy_wave: Tensor [B, N]; returns Tensor [B, N]. With gradients off, a
-    file longer than one segment (spectro.segment_seconds) runs through the
-    model one segment at a time (segment_starts); neighbours overlap by 1/8
-    of a segment and are cross-faded in the rectangular domain before one
-    iSTFT of the whole file (module docstring). A file of at most one
-    segment, or any call with gradients on, runs through the model whole.
+    noisy_wave: Tensor [B, N]; returns Tensor [B, N], always computed with
+    gradients off. A file longer than one segment (spectro.segment_seconds)
+    runs through the model one segment at a time (segment_starts);
+    neighbours overlap by 1/8 of a segment and are cross-faded in the
+    rectangular domain before one iSTFT of the whole file (module
+    docstring). A file of at most one segment runs through the model whole.
     """
     n = noisy_wave.shape[-1]
     starts = segment_starts(cfg, cfg.frame_count(n))
-    if len(starts) == 1 or T._grad_enabled:
-        return istft(_estimate(model, compress(stft(noisy_wave, cfg))), n)
-    # the compressed spectrogram is freed before the iSTFT's whole-file buffers
-    return istft_rect(_blend(model, compress(stft(noisy_wave, cfg)), starts), cfg, n)
+    with T.no_grad():
+        if len(starts) == 1:
+            return istft(decompress(estimate(model, compress(stft(noisy_wave, cfg)))), n)
+        # the compressed spectrogram is freed before the iSTFT's whole-file buffers
+        return istft_rect(_blend(model, compress(stft(noisy_wave, cfg)), starts), cfg, n)
 
 
 def _blend(model, comp, starts):
     """Rectangular estimate [B, 2, F, T] of the segments that start at
     `starts`, cross-faded over their overlaps (module docstring)."""
-    mag, phase = comp.magnitude.data, comp.phase.data
+    mag, phase = comp.magnitude, comp.phase
     seg = comp.frames - starts[-1]
     ov = _overlap(seg)
     ramp = np.arange(1, ov + 1, dtype=mag.dtype) / (ov + 1)
@@ -605,9 +604,9 @@ def _blend(model, comp, starts):
             w[:ov] = ramp
         if i < len(starts) - 1:
             w[-ov:] = ramp[::-1]
-        part = Spectrogram(Tensor(mag[..., s:s + seg]), Tensor(phase[..., s:s + seg]),
+        part = Spectrogram(T.crop(mag, 2, s, s + seg), T.crop(phase, 2, s, s + seg),
                            comp.config)
-        acc[..., s:s + seg] += rect(_estimate(model, part)).data * w
+        acc[..., s:s + seg] += rect(decompress(estimate(model, part))).data * w
         wsum[s:s + seg] += w
     acc /= wsum
     return Tensor(acc)

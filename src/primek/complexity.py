@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import blocks as _blocks
-from .spectral import SpectroConfig, Spectrogram
 from .tensor import Tensor, count_macs, no_grad, track_allocations
 
 
@@ -76,14 +75,8 @@ def measure_block_macs(block, t, f):
 def _model_macs_at(model, frames, bins):
     zeros = Tensor(np.zeros((1, bins, frames)))
     with no_grad(), count_macs() as rec:
-        model.forward(Spectrogram(zeros, zeros, _geometry_config(bins)))
+        model.forward(zeros, zeros)
     return rec.macs
-
-
-def _geometry_config(bins):
-    # a config whose bin count matches; only the shape contract matters here
-    fft = 2 * (bins - 1)
-    return SpectroConfig(fft_size=fft, win_length=fft, hop=max(1, fft // 4))
 
 
 def _forward_macs(model, frames, bins):
@@ -99,7 +92,7 @@ def _forward_macs(model, frames, bins):
 
 
 def measure_model_macs(model, cfg, frames, bins):
-    """Measured conv MACs of a no_grad `blocks.enhance` of `frames` frames
+    """Measured conv MACs of a `blocks.enhance` of `frames` frames
     under the STFT config cfg: one forward when they fit one segment, else
     one forward per segment (`blocks.segment_starts`)."""
     starts = _blocks.segment_starts(cfg, int(frames))

@@ -260,8 +260,14 @@ def istft_rect(rect, cfg, target_len):
     wss = _overlap_add(np.broadcast_to(win * win, (t_frames, wl)), hop, full)
     wss = np.maximum(wss, 1e-12)
 
-    z = rect.data[:, 0].transpose(0, 2, 1) + 1j * rect.data[:, 1].transpose(0, 2, 1)
-    frames = np.fft.irfft(z, n=fft, axis=-1)[..., :wl] * win
+    # the peak holds one complex spectrum and one frame array: the spectrum
+    # is freed after the irfft and the frames are windowed in place
+    z = np.empty((b, t_frames, cfg.bins), np.result_type(rect.dtype, np.complex64))
+    z.real = rect.data[:, 0].transpose(0, 2, 1)
+    z.imag = rect.data[:, 1].transpose(0, 2, 1)
+    frames = np.fft.irfft(z, n=fft, axis=-1)[..., :wl]
+    del z
+    frames *= win
     y = _overlap_add(frames, hop, full)
     y /= wss
     out = np.ascontiguousarray(y[:, p: p + target_len])

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses as L
-from . import tensor as T
-from .blocks import EnhancementModel, enhance
-from .spectral import Spectrogram, SpectroConfig, compress, decompress, istft, stft
+from .blocks import EnhancementModel, enhance, estimate
+from .spectral import compress, decompress, istft, stft
 from .tensor import Tensor
 
 
@@ -323,13 +322,11 @@ def step_losses(model, spectro_cfg, clean, noisy, weights, mode):
     n = clean.shape[1]
     noisy_spec = compress(stft(noisy_t, spectro_cfg))
     clean_spec = compress(stft(clean_t, spectro_cfg))
-    mask, phase_hat = model.forward(noisy_spec)
-    est_mag_c = T.mul(mask, noisy_spec.magnitude)
-    est_spec_c = Spectrogram(est_mag_c, phase_hat, spectro_cfg)
+    est_spec_c = estimate(model, noisy_spec)
 
     comps = {
-        "mag": L.magnitude_loss(est_mag_c, clean_spec.magnitude),
-        "pha": L.phase_loss(phase_hat, clean_spec.phase),
+        "mag": L.magnitude_loss(est_spec_c.magnitude, clean_spec.magnitude),
+        "pha": L.phase_loss(est_spec_c.phase, clean_spec.phase),
         "com": L.complex_loss(est_spec_c, clean_spec),
     }
     est_spec = decompress(est_spec_c)
@@ -347,8 +344,7 @@ def step_losses(model, spectro_cfg, clean, noisy, weights, mode):
 
 def evaluate(model, spectro_cfg, clean, noisy):
     """Mean SI-SNR of the enhanced and the raw noisy signals vs clean."""
-    with T.no_grad():
-        est = enhance(Tensor(noisy), model, spectro_cfg)
+    est = enhance(Tensor(noisy), model, spectro_cfg)
     return si_snr(est, clean), si_snr(noisy, clean)
 
 

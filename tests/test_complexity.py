@@ -151,6 +151,19 @@ def test_default_enhance_counts_are_pinned():
     assert rec.bytes_allocated <= 434_042_648
 
 
+def test_segmented_tiny_enhance_bytes_are_pinned():
+    """A seeded `tiny` enhance of 1 s: 9 segments, each of which reads its
+    magnitude and phase as views of the whole file's. The allocated tensor
+    bytes may fall, never rise (copies of the slices would add
+    9 * 2 * 65 * 65 * 8 B)."""
+    model, _ = tiny_model()
+    sp = TINY_SP
+    wave = Tensor(0.3 * np.random.default_rng(0).standard_normal((1, sp.sample_rate)))
+    with no_grad(), count_macs() as rec:
+        enhance(wave, model, sp)
+    assert rec.bytes_allocated <= 157_506_056
+
+
 @pytest.mark.parametrize("make_cfg,count", [
     (default_run_config, 1_424_324),
     (tiny_run_config, 5_908),

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from primek import config as C
+from primek import losses as L
+from primek import tensor as T
 from primek import trainer
 from primek.blocks import DenseBlockSpec, EnhancementModel
 from primek.config import tiny_run_config
 from primek.losses import LossWeights
+from primek.spectral import Spectrogram, compress, decompress, istft, stft
 from primek.tensor import Tensor
 from primek.trainer import (
     OptConfig,
@@ -25,6 +28,7 @@ from primek.trainer import (
     step_losses,
     train_toy,
 )
+from test_blocks import random_weight_model
 
 RNG = np.random.default_rng(42)
 
@@ -405,6 +409,40 @@ def test_step_losses_mode_selects_time_or_consistency():
     assert float(new.data) == 2.0 * float(comps["con"].data)
     with pytest.raises(ValueError, match="loss mode"):
         step_losses(model, TINY_SP, clean[:2], noisy[:2], w, mode="newest")
+
+
+@pytest.mark.parametrize("mode", ["new", "old"])
+def test_step_losses_equals_the_inline_composition(mode):
+    """step_losses is the model, the mask on the noisy compressed magnitude
+    and the loss functions, in that order: its total and every parameter
+    gradient equal those of the composition written out here."""
+    sp, weights = TINY_SP, TINY_RUN.weights
+    (clean, noisy), _ = make_dataset(ToyTaskSpec(**TINY_TASK_KW))
+    clean, noisy = clean[:2], noisy[:2]
+    model = random_weight_model(TINY_MODEL, seed=23)
+    total, _ = step_losses(model, sp, clean, noisy, weights, mode)
+    total.backward()
+    got = {k: p.grad for k, p in model.named_params().items()}
+
+    model.zero_grad()
+    clean_t, n = Tensor(clean), clean.shape[1]
+    noisy_c = compress(stft(Tensor(noisy), sp))
+    clean_c = compress(stft(clean_t, sp))
+    mask, phase_hat = model.forward(noisy_c.magnitude, noisy_c.phase)
+    est_c = Spectrogram(T.mul(mask, noisy_c.magnitude), phase_hat, sp)
+    mag = L.magnitude_loss(est_c.magnitude, clean_c.magnitude)
+    pha = L.phase_loss(phase_hat, clean_c.phase)
+    com = L.complex_loss(est_c, clean_c)
+    est = decompress(est_c)
+    if mode == "old":
+        last = {"time": L.time_loss(istft(est, n), clean_t)}
+    else:
+        last = {"consistency": L.consistency_loss(est, target_len=n)}
+    want = L.total_loss(weights, magnitude=mag, phase=pha, complex_=com, **last)
+    want.backward()
+    assert np.array_equal(total.data, want.data)
+    for k, p in model.named_params().items():
+        assert np.array_equal(got[k], p.grad), k
 
 
 def test_zero_steps_writes_initial_checkpoint_only(tmp_path):
