@@ -26,24 +26,30 @@ gradients would become sums over tiles that differ from the untiled ones
 by a few ulps. An input that fits one tile runs untiled, with no crop or
 concat.
 
-`enhance` always runs with gradients off. It runs a file through the model
-in segments of `spectro.segment_seconds` (as STFT frames, `seg`), so its
-peak memory does not grow with file length; only the waveform, its STFT and
-one rectangular accumulator span the whole file. Neighbouring segments
-overlap by seg // 8 frames (one at least), and the last segment ends on the
-last frame, so it may overlap its neighbour by more. Each segment's estimate
-is cross-faded in the rectangular domain, (m cos p, m sin p), not on mask
-and phase, whose angles wrap: its weight is 1 inside and ramps linearly over
+`enhance` always runs with gradients off. It streams a file through the
+model in segments of `spectro.segment_seconds` (as STFT frames, `seg`), so
+its peak memory does not grow with file length; only waveforms span the
+whole file (the padded input, the overlap-add buffer, its normaliser and
+the output). Neighbouring segments overlap by seg // 8 frames (one at
+least), and the last segment ends on the last frame, so it may overlap its
+neighbour by more. Each segment's STFT is taken, without centre padding,
+from its slice of the waveform reflect-padded once. Its estimate is
+cross-faded in the rectangular domain, (m cos p, m sin p), not on mask and
+phase, whose angles wrap: its weight is 1 inside and ramps linearly over
 the overlap at each edge it shares, and the weighted sum is divided by the
-sum of the weights. A file no longer than one segment runs through the
-model whole. Training and `enhance` share one estimate step, `estimate`.
+sum of the weights. The sums are kept for one segment's frames; those no
+later segment reaches are inverse-transformed, windowed and overlap-added
+into the output, in ascending frame order, so the output is bit-identical
+to one iSTFT of the whole cross-faded file. A file no longer than one
+segment runs through the model whole. Training and `enhance` share one
+estimate step, `estimate`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,10 +57,13 @@ from . import tensor as T
 from .conv import ConvSpec, conv1d, conv2d
 from .spectral import (
     Spectrogram,
+    _overlap_add,
+    _reflect_pad,
+    _synthesis_frames,
+    _window_square_sum,
     compress,
     decompress,
     istft,
-    istft_rect,
     rect,
     stft,
 )
@@ -575,41 +584,63 @@ def enhance(noisy_wave, model, cfg):
 
     noisy_wave: Tensor [B, N]; returns Tensor [B, N], always computed with
     gradients off. A file longer than one segment (spectro.segment_seconds)
-    runs through the model one segment at a time (segment_starts);
-    neighbours overlap by 1/8 of a segment and are cross-faded in the
-    rectangular domain before one iSTFT of the whole file (module
-    docstring). A file of at most one segment runs through the model whole.
+    is streamed one segment at a time (segment_starts): each segment's
+    STFT, estimate, cross-fade with its neighbours (which overlap it by 1/8
+    of a segment) and iSTFT of its finished frames run in turn, so only
+    waveforms span the file (module docstring). A file of at most one segment runs through
+    the model whole.
     """
     n = noisy_wave.shape[-1]
     starts = segment_starts(cfg, cfg.frame_count(n))
     with T.no_grad():
         if len(starts) == 1:
             return istft(decompress(estimate(model, compress(stft(noisy_wave, cfg)))), n)
-        # the compressed spectrogram is freed before the iSTFT's whole-file buffers
-        return istft_rect(_blend(model, compress(stft(noisy_wave, cfg)), starts), cfg, n)
+        return Tensor(_stream(model, noisy_wave.data, cfg, starts))
 
 
-def _blend(model, comp, starts):
-    """Rectangular estimate [B, 2, F, T] of the segments that start at
-    `starts`, cross-faded over their overlaps (module docstring)."""
-    mag, phase = comp.magnitude, comp.phase
-    seg = comp.frames - starts[-1]
+def _stream(model, wave, cfg, starts):
+    """Enhanced waveform [B, N] of `wave` [B, N] from the segments that
+    start at `starts`, streamed one segment at a time (module docstring)."""
+    b, n = wave.shape
+    hop, wl = cfg.hop, cfg.win_length
+    t_frames = cfg.frame_count(n)
+    full = wl + (t_frames - 1) * hop
+    seg = t_frames - starts[-1]
     ov = _overlap(seg)
-    ramp = np.arange(1, ov + 1, dtype=mag.dtype) / (ov + 1)
-    acc = np.zeros((mag.shape[0], 2) + mag.shape[1:], mag.dtype)
-    wsum = np.zeros(comp.frames, mag.dtype)
-    for i, s in enumerate(starts):
-        w = np.ones(seg, mag.dtype)
+    # the compressed spectrogram's dtype: numpy's FFT runs in float32 at least
+    dtype = np.result_type(wave.dtype, np.float32)
+    ramp = np.arange(1, ov + 1, dtype=dtype) / (ov + 1)
+    win = cfg.analysis_window().astype(dtype)
+    # frames s .. s + seg - 1 of the segment at s: the weighted estimates
+    # summed so far and their weights
+    pending = np.zeros((b, 2, cfg.bins, seg), dtype)
+    wsum = np.zeros(seg, dtype)
+    y = np.zeros((b, -(-full // hop) * hop), dtype)
+    seg_cfg = replace(cfg, center=False)
+    xp = _reflect_pad(wave, cfg.pad) if cfg.pad else wave
+    for i, (s, end) in enumerate(zip(starts, starts[1:] + [t_frames])):
+        comp = compress(stft(xp[:, s * hop: (s + seg - 1) * hop + wl], seg_cfg))
+        w = np.ones(seg, dtype)
         if i > 0:
             w[:ov] = ramp
         if i < len(starts) - 1:
             w[-ov:] = ramp[::-1]
-        part = Spectrogram(T.crop(mag, 2, s, s + seg), T.crop(phase, 2, s, s + seg),
-                           comp.config)
-        acc[..., s:s + seg] += rect(decompress(estimate(model, part))).data * w
-        wsum[s:s + seg] += w
-    acc /= wsum
-    return Tensor(acc)
+        pending += rect(decompress(estimate(model, comp))).data * w
+        wsum += w
+        # no later segment reaches the frames before the next start
+        done = end - s
+        pending[..., :done] /= wsum[:done]
+        _overlap_add(_synthesis_frames(pending[..., :done], cfg, win), hop, full,
+                     out=y, first=s)
+        # the next segment's first frames move to the front
+        pending[..., :seg - done] = pending[..., done:]
+        pending[..., seg - done:] = 0.0
+        wsum[:seg - done] = wsum[done:]
+        wsum[seg - done:] = 0.0
+    del xp  # a padded copy, freed before the normaliser is built
+    y = y[:, :full]
+    y /= _window_square_sum(win, hop, t_frames)
+    return np.ascontiguousarray(y[:, cfg.pad: cfg.pad + n])
 
 
 # ---------------------------------------------------------------------------

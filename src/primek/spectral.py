@@ -184,22 +184,52 @@ def _frame(xp, cfg, t_frames):
     return xp[:, idx]  # [B, T, win]
 
 
-def _overlap_add(frames, hop, length):
+def _overlap_add(frames, hop, length, out=None, first=0):
     """Adjoint of framing: frames [..., T, win] placed every `hop` samples
     and summed -> [..., length].
 
     Each frame is cut into hop-long blocks and block j of every frame is
     added in one step, last block first, so every sample sums its frames
-    in ascending frame order, as a loop over frames would.
+    in ascending frame order, as a loop over frames would. Given `out`
+    ([..., rows * hop], contiguous), the frames are added into it as frames
+    first, first + 1, ... of a longer sequence; runs of frames added in
+    ascending order sum every sample in the order one call on all of them
+    would.
     """
     t_frames, win = frames.shape[-2:]
     n_blocks = -(-win // hop)
-    rows = max(t_frames + n_blocks - 1, -(-length // hop))
-    out = np.zeros(frames.shape[:-2] + (rows, hop), dtype=frames.dtype)
+    if out is None:
+        rows = max(t_frames + n_blocks - 1, -(-length // hop))
+        out = np.zeros(frames.shape[:-2] + (rows * hop,), dtype=frames.dtype)
+    blocks = out.reshape(out.shape[:-1] + (-1, hop))
     for j in reversed(range(n_blocks)):
         w = min(hop, win - j * hop)
-        out[..., j: j + t_frames, :w] += frames[..., j * hop: j * hop + w]
-    return out.reshape(frames.shape[:-2] + (rows * hop,))[..., :length]
+        blocks[..., first + j: first + j + t_frames, :w] += frames[..., j * hop: j * hop + w]
+    return out[..., :length]
+
+
+def _window_square_sum(win, hop, t_frames):
+    """Overlap-added squared window of t_frames frames, floored at 1e-12:
+    the iSTFT's normaliser, [win_length + (t_frames - 1) * hop]."""
+    wl = len(win)
+    wss = _overlap_add(np.broadcast_to(win * win, (t_frames, wl)), hop,
+                       wl + (t_frames - 1) * hop)
+    return np.maximum(wss, 1e-12, out=wss)
+
+
+def _synthesis_frames(rect, cfg, win):
+    """Rectangular spectra [B, 2, F, T] -> windowed irfft frames [B, T, win].
+
+    The peak holds one complex spectrum and one frame array: the spectrum
+    is freed after the irfft and the frames are windowed in place."""
+    b, _, bins, t_frames = rect.shape
+    z = np.empty((b, t_frames, bins), np.result_type(rect.dtype, np.complex64))
+    z.real = rect[:, 0].transpose(0, 2, 1)
+    z.imag = rect[:, 1].transpose(0, 2, 1)
+    frames = np.fft.irfft(z, n=cfg.fft_size, axis=-1)[..., :cfg.win_length]
+    del z
+    frames *= win
+    return frames
 
 
 def _rfft_bin_scale(fft_size, dtype):
@@ -242,7 +272,10 @@ def stft_rect(wave, cfg):
 
 
 def istft_rect(rect, cfg, target_len):
-    """Inverse of stft_rect by windowed overlap-add: [B,2,F,T] -> [B, N]."""
+    """Inverse of stft_rect by windowed overlap-add: [B,2,F,T] -> [B, N].
+
+    Segmented `blocks.enhance` runs the same steps a run of frames at a
+    time, overlap-adding each run into one buffer."""
     if rect.data.ndim != 4 or rect.shape[1] != 2 or rect.shape[2] != cfg.bins:
         raise ShapeError(
             f"istft expects [B, 2, {cfg.bins}, T], got {rect.shape}"
@@ -257,18 +290,10 @@ def istft_rect(rect, cfg, target_len):
             f"requested {target_len} samples but only {full - p} reconstructible"
         )
 
-    wss = _overlap_add(np.broadcast_to(win * win, (t_frames, wl)), hop, full)
-    wss = np.maximum(wss, 1e-12)
-
-    # the peak holds one complex spectrum and one frame array: the spectrum
-    # is freed after the irfft and the frames are windowed in place
-    z = np.empty((b, t_frames, cfg.bins), np.result_type(rect.dtype, np.complex64))
-    z.real = rect.data[:, 0].transpose(0, 2, 1)
-    z.imag = rect.data[:, 1].transpose(0, 2, 1)
-    frames = np.fft.irfft(z, n=fft, axis=-1)[..., :wl]
-    del z
-    frames *= win
+    frames = _synthesis_frames(rect.data, cfg, win)
     y = _overlap_add(frames, hop, full)
+    del frames
+    wss = _window_square_sum(win, hop, t_frames)
     y /= wss
     out = np.ascontiguousarray(y[:, p: p + target_len])
 
@@ -359,10 +384,17 @@ def wav_read(path):
 
 
 def wav_write(path, wave, sample_rate):
+    """Write wave (Tensor or array, N samples) as mono PCM16, rounding and
+    clipping one scaled copy in place: the peak above the input holds it
+    and the 16-bit samples (1.25 copies of a float64 input)."""
     data = (wave.data if isinstance(wave, Tensor) else np.asarray(wave)).reshape(-1)
-    quantized = np.clip(np.round(data * 32768.0), -32768, 32767).astype("<i2")
+    scaled = data * 32768.0
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    quantized = scaled.astype("<i2")
+    del scaled
     with _wavemod.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(int(sample_rate))
-        fh.writeframes(quantized.tobytes())
+        fh.writeframes(quantized)

@@ -1,6 +1,7 @@
-"""Segmented enhance: `blocks.enhance` runs a file longer than one segment
-(`spectro.segment_seconds`) through the model one segment at a time and
-cross-fades neighbours in the rectangular domain."""
+"""Segmented enhance: `blocks.enhance` streams a file longer than one
+segment (`spectro.segment_seconds`) one segment at a time: its STFT, the
+model, the cross-fade of neighbours in the rectangular domain and the
+overlap-add of its finished frames."""
 
 import tracemalloc
 from dataclasses import replace
@@ -10,9 +11,17 @@ import pytest
 
 from primek import config as C
 from primek import tensor as T
-from primek.blocks import EnhancementModel, enhance, segment_starts
+from primek.blocks import EnhancementModel, enhance, estimate, segment_starts
 from primek.config import default_run_config, tiny_run_config
-from primek.spectral import Spectrogram, compress, decompress, istft, stft
+from primek.spectral import (
+    Spectrogram,
+    compress,
+    decompress,
+    istft,
+    istft_rect,
+    rect,
+    stft,
+)
 from primek.tensor import Tensor
 from primek.trainer import make_dataset, si_snr, train_toy
 from test_blocks import random_weight_model
@@ -27,6 +36,41 @@ def whole_file_enhance(wave, model, sp):
     mask, phase_hat = model.forward(comp.magnitude, comp.phase)
     est = decompress(Spectrogram(T.mul(mask, comp.magnitude), phase_hat, sp))
     return istft(est, wave.shape[-1])
+
+
+def blended_enhance(wave, model, sp):
+    """`enhance` of a file longer than one segment as it was before it
+    streamed: the whole file's compressed spectrogram, `estimate` on crops
+    of it, the cross-fade into a whole-file rectangular accumulator, one
+    `istft_rect`."""
+    comp = compress(stft(wave, sp))
+    mag, phase, dtype = comp.magnitude, comp.phase, comp.magnitude.dtype
+    starts = segment_starts(sp, comp.frames)
+    seg = comp.frames - starts[-1]
+    ov = max(1, seg // 8)
+    ramp = np.arange(1, ov + 1, dtype=dtype) / (ov + 1)
+    acc = np.zeros((mag.shape[0], 2) + mag.shape[1:], dtype)
+    wsum = np.zeros(comp.frames, dtype)
+    for i, s in enumerate(starts):
+        w = np.ones(seg, dtype)
+        if i > 0:
+            w[:ov] = ramp
+        if i < len(starts) - 1:
+            w[-ov:] = ramp[::-1]
+        part = Spectrogram(T.crop(mag, 2, s, s + seg), T.crop(phase, 2, s, s + seg), sp)
+        acc[..., s:s + seg] += rect(decompress(estimate(model, part))).data * w
+        wsum[s:s + seg] += w
+    acc /= wsum
+    return istft_rect(Tensor(acc), sp, wave.shape[-1])
+
+
+def shortest_segment_spectro():
+    """The shortest segment `config.build` accepts: 2 STFT frames (160
+    samples, a window and a hop, without centre padding)."""
+    pairs = C.parse(C.dump(TINY))
+    pairs["spectro.center"] = "false"
+    pairs["spectro.segment_seconds"] = repr(160 / 16000)
+    return C.build(pairs).spectro
 
 
 def snr_db(ref, out):
@@ -105,8 +149,7 @@ def test_shortest_segment_enhances_to_finite_output():
     pairs["spectro.segment_seconds"] = repr(159 / 16000)
     with pytest.raises(C.ConfigError):
         C.build(pairs)
-    pairs["spectro.segment_seconds"] = repr(160 / 16000)
-    sp = C.build(pairs).spectro
+    sp = shortest_segment_spectro()
     assert sp.frame_count(sp.segment_samples) == 2
     model = random_weight_model(TINY.model, seed=2203)
     x = 0.3 * np.random.default_rng(6).standard_normal((1, sp.sample_rate // 2))
@@ -116,6 +159,42 @@ def test_shortest_segment_enhances_to_finite_output():
         out = enhance(Tensor(x), model, sp).data
     assert out.shape == x.shape
     assert np.all(np.isfinite(out))
+
+
+# 180 frames: two steps of 57 frames, a segment of 65 and one frame more
+PAST_A_BOUNDARY = 179 * TINY_SP.hop
+
+
+@pytest.mark.parametrize("spectro, shape, dtype", [
+    (TINY_SP, (1, 16000), np.float64),
+    (TINY_SP, (1, 48000), np.float64),
+    (TINY_SP, (2, 16000), np.float64),
+    (TINY_SP, (1, PAST_A_BOUNDARY), np.float64),
+    (shortest_segment_spectro(), (1, 8000), np.float64),
+    (TINY_SP, (1, 48000), np.float32),
+], ids=["1s", "3s", "batch-2", "one-frame-past-a-boundary", "shortest-segment",
+        "float32-3s"])
+def test_streamed_enhance_equals_the_whole_file_blend(spectro, shape, dtype):
+    """Streaming runs the ops of the whole-file blend in the same order, so
+    the output is bit-identical, in the input's float width."""
+    model = random_weight_model(TINY.model, seed=2401)
+    for p in model.named_params().values():
+        p.data = p.data.astype(dtype)
+    wave = Tensor((0.3 * np.random.default_rng(9).standard_normal(shape)).astype(dtype))
+    starts = segment_starts(spectro, spectro.frame_count(shape[1]))
+    assert len(starts) > 1
+    with T.no_grad():
+        got = enhance(wave, model, spectro).data
+        want = blended_enhance(wave, model, spectro).data
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+def test_last_segment_one_frame_past_a_boundary_overlaps_by_most_of_a_segment():
+    seg = TINY_SP.frame_count(TINY_SP.segment_samples)
+    starts = segment_starts(TINY_SP, TINY_SP.frame_count(PAST_A_BOUNDARY))
+    assert starts == [0, 57, 114, 115]
+    assert starts[-2] + seg - starts[-1] == seg - 1 > seg // 8
 
 
 def test_float32_blend_stays_float32():
@@ -155,6 +234,17 @@ def test_enhance_peak_memory_grows_only_by_whole_file_arrays():
             for s in (8, 32)]
     short, long = traced_peak(model, 8), traced_peak(model, 32)
     assert long - short < 6 * (unit[1] - unit[0])
+
+
+def test_enhance_peak_memory_grows_only_by_waveforms():
+    """Streamed, no array but waveforms spans the file: the padded input,
+    the overlap-add buffer, its normaliser and the output. From 8 s to 32 s
+    the traced peak of a `tiny` enhance may grow by at most 5 float64
+    waveforms of the length difference (measured: 1.9; with the whole
+    file's spectra, accumulator and iSTFT buffers it grew by 13.0)."""
+    model = EnhancementModel(TINY.model, seed=0)
+    wave = (32 - 8) * TINY_SP.sample_rate * 8
+    assert traced_peak(model, 32) - traced_peak(model, 8) <= 5 * wave
 
 
 # ---------------------------------------------------------------------------

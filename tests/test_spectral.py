@@ -298,6 +298,32 @@ def test_wav_random_roundtrip_within_quantization(tmp_path):
     assert np.abs(wave.data[0] - x).max() <= 1.0 / 32768
 
 
+def test_wav_write_holds_one_scaled_copy_and_writes_the_rounded_clipped_samples(tmp_path):
+    """Above its input, writing 10 s of float64 audio peaks at one scaled
+    copy and the 16-bit samples, 1.25 waveforms (measured: 1.2506; a
+    separate array for the scaled copy, its rounding and its clipping
+    peaked at 2.0). The samples are round(x * 32768) clipped to PCM16,
+    ties to even, out-of-range values saturated."""
+    import wave as wavemod
+
+    path = tmp_path / "w.wav"
+    x = RNG.uniform(-1.2, 1.2, 160000)
+    x[:6] = [1.0, -1.0, 0.5 / 32768, 1.5 / 32768, -2.5 / 32768, -1.00002]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        wav_write(path, Tensor(x[None]), 16000)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes + 4096
+    with wavemod.open(str(path), "rb") as fh:
+        got = np.frombuffer(fh.readframes(fh.getnframes()), "<i2")
+    want = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
+    assert np.array_equal(got, want)
+    assert list(got[:6]) == [32767, -32768, 0, 2, -2, -32768]
+
+
 def test_wav_malformed_file_rejected(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"RIFFgarbage-that-is-not-a-wav-file")
