@@ -29,27 +29,32 @@ concat.
 `enhance` always runs with gradients off. It streams a file through the
 model in segments of `spectro.segment_seconds` (as STFT frames, `seg`), so
 its peak memory does not grow with file length; only waveforms span the
-whole file (the padded input, the overlap-add buffer, its normaliser and
-the output). Neighbouring segments overlap by seg // 8 frames (one at
-least), and the last segment ends on the last frame, so it may overlap its
-neighbour by more. Each segment's STFT is taken, without centre padding,
-from its slice of the waveform reflect-padded once. Its estimate is
+whole file (the overlap-add buffer, its normaliser and the output).
+Neighbouring segments overlap by seg // 8 frames (one at least), and the
+last segment ends on the last frame, so it may overlap its neighbour by
+more. A segment's spectrum is the centred STFT of a crop (a view) of the
+input that starts ceil(pad / hop) frames before the segment, or at the
+file's start, and ends with the segment's last frame, or at the file's
+end. Centre padding reaches the segment's frames only where the crop meets
+the file's start or end, as it does the whole file's; frames that reach it
+at an inner cut are dropped. So the kept frames equal the whole file's,
+and a file of one segment is one crop of the whole file, which runs the
+ops of one whole-file STFT, estimate and iSTFT. Each segment's estimate is
 cross-faded in the rectangular domain, (m cos p, m sin p), not on mask and
 phase, whose angles wrap: its weight is 1 inside and ramps linearly over
 the overlap at each edge it shares, and the weighted sum is divided by the
 sum of the weights. The sums are kept for one segment's frames; those no
 later segment reaches are inverse-transformed, windowed and overlap-added
 into the output, in ascending frame order, so the output is bit-identical
-to one iSTFT of the whole cross-faded file. A file no longer than one
-segment runs through the model whole. Training and `enhance` share one
-estimate step, `estimate`.
+to one iSTFT of the whole cross-faded file. Training and `enhance` share
+one estimate step, `estimate`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,12 +63,10 @@ from .conv import ConvSpec, conv1d, conv2d
 from .spectral import (
     Spectrogram,
     _overlap_add,
-    _reflect_pad,
     _synthesis_frames,
     _window_square_sum,
     compress,
     decompress,
-    istft,
     rect,
     stft,
 )
@@ -583,32 +586,23 @@ def enhance(noisy_wave, model, cfg):
     """Full pipeline: analysis, masking, phase estimation, resynthesis.
 
     noisy_wave: Tensor [B, N]; returns Tensor [B, N], always computed with
-    gradients off. A file longer than one segment (spectro.segment_seconds)
-    is streamed one segment at a time (segment_starts): each segment's
-    STFT, estimate, cross-fade with its neighbours (which overlap it by 1/8
-    of a segment) and iSTFT of its finished frames run in turn, so only
-    waveforms span the file (module docstring). A file of at most one segment runs through
-    the model whole.
+    gradients off. The file is streamed one segment (segment_starts) at a
+    time: each segment's STFT, estimate, cross-fade with its neighbours
+    (which overlap it by 1/8 of a segment) and iSTFT of its finished frames
+    run in turn, so only waveforms span the file (module docstring).
     """
-    n = noisy_wave.shape[-1]
-    starts = segment_starts(cfg, cfg.frame_count(n))
-    with T.no_grad():
-        if len(starts) == 1:
-            return istft(decompress(estimate(model, compress(stft(noisy_wave, cfg)))), n)
-        return Tensor(_stream(model, noisy_wave.data, cfg, starts))
-
-
-def _stream(model, wave, cfg, starts):
-    """Enhanced waveform [B, N] of `wave` [B, N] from the segments that
-    start at `starts`, streamed one segment at a time (module docstring)."""
-    b, n = wave.shape
-    hop, wl = cfg.hop, cfg.win_length
+    b, n = noisy_wave.shape
+    hop, wl, pad = cfg.hop, cfg.win_length, cfg.pad
     t_frames = cfg.frame_count(n)
+    starts = segment_starts(cfg, t_frames)
     full = wl + (t_frames - 1) * hop
+    if pad + n > full:  # the last frame may end before the last sample
+        raise ShapeError(f"requested {n} samples but only {full - pad} reconstructible")
     seg = t_frames - starts[-1]
     ov = _overlap(seg)
+    back = -(-pad // hop)  # frames before a segment that its crop also holds
     # the compressed spectrogram's dtype: numpy's FFT runs in float32 at least
-    dtype = np.result_type(wave.dtype, np.float32)
+    dtype = np.result_type(noisy_wave.dtype, np.float32)
     ramp = np.arange(1, ov + 1, dtype=dtype) / (ov + 1)
     win = cfg.analysis_window().astype(dtype)
     # frames s .. s + seg - 1 of the segment at s: the weighted estimates
@@ -616,31 +610,33 @@ def _stream(model, wave, cfg, starts):
     pending = np.zeros((b, 2, cfg.bins, seg), dtype)
     wsum = np.zeros(seg, dtype)
     y = np.zeros((b, -(-full // hop) * hop), dtype)
-    seg_cfg = replace(cfg, center=False)
-    xp = _reflect_pad(wave, cfg.pad) if cfg.pad else wave
-    for i, (s, end) in enumerate(zip(starts, starts[1:] + [t_frames])):
-        comp = compress(stft(xp[:, s * hop: (s + seg - 1) * hop + wl], seg_cfg))
-        w = np.ones(seg, dtype)
-        if i > 0:
-            w[:ov] = ramp
-        if i < len(starts) - 1:
-            w[-ov:] = ramp[::-1]
-        pending += rect(decompress(estimate(model, comp))).data * w
-        wsum += w
-        # no later segment reaches the frames before the next start
-        done = end - s
-        pending[..., :done] /= wsum[:done]
-        _overlap_add(_synthesis_frames(pending[..., :done], cfg, win), hop, full,
-                     out=y, first=s)
-        # the next segment's first frames move to the front
-        pending[..., :seg - done] = pending[..., done:]
-        pending[..., seg - done:] = 0.0
-        wsum[:seg - done] = wsum[done:]
-        wsum[seg - done:] = 0.0
-    del xp  # a padded copy, freed before the normaliser is built
+    with T.no_grad():
+        for i, (s, end) in enumerate(zip(starts, starts[1:] + [t_frames])):
+            lo = max(0, s - back)
+            spec = stft(T.crop(noisy_wave, 1, lo * hop,
+                               min(n, (s + seg - 1) * hop + wl - pad)), cfg)
+            part = Spectrogram(T.crop(spec.magnitude, 2, s - lo, s - lo + seg),
+                               T.crop(spec.phase, 2, s - lo, s - lo + seg), cfg)
+            w = np.ones(seg, dtype)
+            if i > 0:
+                w[:ov] = ramp
+            if i < len(starts) - 1:
+                w[-ov:] = ramp[::-1]
+            pending += rect(decompress(estimate(model, compress(part)))).data * w
+            wsum += w
+            # no later segment reaches the frames before the next start
+            done = end - s
+            pending[..., :done] /= wsum[:done]
+            _overlap_add(_synthesis_frames(pending[..., :done], cfg, win), hop,
+                         full, out=y, first=s)
+            # the next segment's first frames move to the front
+            pending[..., :seg - done] = pending[..., done:]
+            pending[..., seg - done:] = 0.0
+            wsum[:seg - done] = wsum[done:]
+            wsum[seg - done:] = 0.0
     y = y[:, :full]
     y /= _window_square_sum(win, hop, t_frames)
-    return np.ascontiguousarray(y[:, cfg.pad: cfg.pad + n])
+    return Tensor(np.ascontiguousarray(y[:, pad: pad + n]))
 
 
 # ---------------------------------------------------------------------------

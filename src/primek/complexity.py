@@ -93,8 +93,8 @@ def _forward_macs(model, frames, bins):
 
 def measure_model_macs(model, cfg, frames, bins):
     """Measured conv MACs of a `blocks.enhance` of `frames` frames
-    under the STFT config cfg: one forward when they fit one segment, else
-    one forward per segment (`blocks.segment_starts`)."""
+    under the STFT config cfg: one forward per segment
+    (`blocks.segment_starts`)."""
     starts = _blocks.segment_starts(cfg, int(frames))
     return len(starts) * _forward_macs(model, int(frames) - starts[-1], bins)
 

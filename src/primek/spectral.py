@@ -274,8 +274,8 @@ def stft_rect(wave, cfg):
 def istft_rect(rect, cfg, target_len):
     """Inverse of stft_rect by windowed overlap-add: [B,2,F,T] -> [B, N].
 
-    Segmented `blocks.enhance` runs the same steps a run of frames at a
-    time, overlap-adding each run into one buffer."""
+    `blocks.enhance` runs the same steps a run of frames at a time,
+    overlap-adding each run into one buffer."""
     if rect.data.ndim != 4 or rect.shape[1] != 2 or rect.shape[2] != cfg.bins:
         raise ShapeError(
             f"istft expects [B, 2, {cfg.bins}, T], got {rect.shape}"

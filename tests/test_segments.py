@@ -1,6 +1,6 @@
-"""Segmented enhance: `blocks.enhance` streams a file longer than one
-segment (`spectro.segment_seconds`) one segment at a time: its STFT, the
-model, the cross-fade of neighbours in the rectangular domain and the
+"""Segmented enhance: `blocks.enhance` streams every file one segment
+(`spectro.segment_seconds`) at a time: the STFT of a crop of the input,
+the model, the cross-fade of neighbours in the rectangular domain and the
 overlap-add of its finished frames."""
 
 import tracemalloc
@@ -14,6 +14,7 @@ from primek import tensor as T
 from primek.blocks import EnhancementModel, enhance, estimate, segment_starts
 from primek.config import default_run_config, tiny_run_config
 from primek.spectral import (
+    SpectroConfig,
     Spectrogram,
     compress,
     decompress,
@@ -22,7 +23,7 @@ from primek.spectral import (
     rect,
     stft,
 )
-from primek.tensor import Tensor
+from primek.tensor import ShapeError, Tensor
 from primek.trainer import make_dataset, si_snr, train_toy
 from test_blocks import random_weight_model
 
@@ -113,7 +114,8 @@ def test_identity_mode_reconstructs_across_seams():
                                          (default_run_config, 32000)],
                          ids=["tiny-2048", "default-2s"])
 def test_one_segment_clip_is_unchanged(make_cfg, n):
-    """A clip of exactly one segment takes the whole-file path."""
+    """A clip of exactly one segment is one crop of the whole file, so its
+    output is the whole-file enhance's."""
     cfg = make_cfg()
     assert cfg.spectro.segment_samples == n
     model = random_weight_model(cfg.model, seed=2201)
@@ -164,6 +166,10 @@ def test_shortest_segment_enhances_to_finite_output():
 # 180 frames: two steps of 57 frames, a segment of 65 and one frame more
 PAST_A_BOUNDARY = 179 * TINY_SP.hop
 
+# centre padding of 72 samples, 2.25 hops: a crop starts 3 frames early
+PAD_OFF_THE_HOP = SpectroConfig(fft_size=144, win_length=128, hop=32,
+                                segment_seconds=0.128)
+
 
 @pytest.mark.parametrize("spectro, shape, dtype", [
     (TINY_SP, (1, 16000), np.float64),
@@ -172,8 +178,10 @@ PAST_A_BOUNDARY = 179 * TINY_SP.hop
     (TINY_SP, (1, PAST_A_BOUNDARY), np.float64),
     (shortest_segment_spectro(), (1, 8000), np.float64),
     (TINY_SP, (1, 48000), np.float32),
+    (PAD_OFF_THE_HOP, (1, 16000), np.float64),
+    (PAD_OFF_THE_HOP, (1, PAST_A_BOUNDARY), np.float64),
 ], ids=["1s", "3s", "batch-2", "one-frame-past-a-boundary", "shortest-segment",
-        "float32-3s"])
+        "float32-3s", "pad-off-the-hop-1s", "pad-off-the-hop-past-a-boundary"])
 def test_streamed_enhance_equals_the_whole_file_blend(spectro, shape, dtype):
     """Streaming runs the ops of the whole-file blend in the same order, so
     the output is bit-identical, in the input's float width."""
@@ -188,6 +196,16 @@ def test_streamed_enhance_equals_the_whole_file_blend(spectro, shape, dtype):
         want = blended_enhance(wave, model, spectro).data
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2000, 5000], ids=["one-segment", "segmented"])
+def test_samples_past_the_last_frame_are_rejected(n):
+    """Without centre padding the last frame can end before the file does;
+    `enhance` cannot reconstruct those samples and says so."""
+    sp = replace(TINY_SP, center=False)
+    model = EnhancementModel(TINY.model, seed=0)
+    with pytest.raises(ShapeError, match="reconstructible"):
+        enhance(Tensor(np.zeros((1, n))), model, sp)
 
 
 def test_last_segment_one_frame_past_a_boundary_overlaps_by_most_of_a_segment():
@@ -222,29 +240,16 @@ def traced_peak(model, seconds):
         tracemalloc.stop()
 
 
-def test_enhance_peak_memory_grows_only_by_whole_file_arrays():
-    """Only the waveform, its STFT and the rectangular accumulator span the
-    whole file. Counted in units of one float64 rectangular spectrum
-    [1, 2, F, T], the peak holds the accumulator and the iSTFT's complex
-    spectrum and frames, with the waveform and output a quarter unit each,
-    so it may grow by at most 6 units from 8 s to 32 s (measured: 3.2).
-    Run on the whole file, the model's activations grew the peak ~4x."""
-    model = EnhancementModel(TINY.model, seed=0)
-    unit = [2 * TINY_SP.bins * TINY_SP.frame_count(s * TINY_SP.sample_rate) * 8
-            for s in (8, 32)]
-    short, long = traced_peak(model, 8), traced_peak(model, 32)
-    assert long - short < 6 * (unit[1] - unit[0])
-
-
 def test_enhance_peak_memory_grows_only_by_waveforms():
-    """Streamed, no array but waveforms spans the file: the padded input,
-    the overlap-add buffer, its normaliser and the output. From 8 s to 32 s
-    the traced peak of a `tiny` enhance may grow by at most 5 float64
-    waveforms of the length difference (measured: 1.9; with the whole
-    file's spectra, accumulator and iSTFT buffers it grew by 13.0)."""
+    """No array but waveforms spans the file: the overlap-add buffer, its
+    normaliser and the output; each segment's STFT reads a view of the
+    input. From 8 s to 32 s the traced peak of a `tiny` enhance may grow by
+    at most 1.5 float64 waveforms of the length difference (measured: 1.2;
+    1.9 with a reflect-padded copy of the input, 13.0 with the whole file's
+    spectra, accumulator and iSTFT buffers)."""
     model = EnhancementModel(TINY.model, seed=0)
     wave = (32 - 8) * TINY_SP.sample_rate * 8
-    assert traced_peak(model, 32) - traced_peak(model, 8) <= 5 * wave
+    assert traced_peak(model, 32) - traced_peak(model, 8) <= 1.5 * wave
 
 
 # ---------------------------------------------------------------------------
