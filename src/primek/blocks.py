@@ -29,7 +29,8 @@ concat.
 `enhance` always runs with gradients off. It streams a file through the
 model in segments of `spectro.segment_seconds` (as STFT frames, `seg`), so
 its peak memory does not grow with file length; only waveforms span the
-whole file (the overlap-add buffer, its normaliser and the output).
+whole file (the overlap-add buffer, divided in place by the normaliser,
+and the output).
 Neighbouring segments overlap by seg // 8 frames (one at least), and the
 last segment ends on the last frame, so it may overlap its neighbour by
 more. A segment's spectrum is the centred STFT of a crop (a view) of the
@@ -62,9 +63,9 @@ from . import tensor as T
 from .conv import ConvSpec, conv1d, conv2d
 from .spectral import (
     Spectrogram,
+    _normalise,
     _overlap_add,
     _synthesis_frames,
-    _window_square_sum,
     compress,
     decompress,
     rect,
@@ -390,15 +391,27 @@ class ConvStage(Module):
         self.norm = self.child("norm", Norm(c, axes=(2, 3)))
         self.alpha = self.param("alpha", Tensor(np.full(c, 0.25), requires_grad=True))
 
-    def forward(self, x):
+    def forward(self, x, out=None):
+        """The stage's output, written into `out` when given (see T.prelu)."""
         for conv in self.convs:
             x = conv.forward(x)
-        return T.prelu(self.norm.forward(x), self.alpha)
+        return T.prelu(self.norm.forward(x), self.alpha, out=out)
 
 
 class DenseBlock(Module):
-    """Densely connected dilated 2-D stack; layer i sees the block input
-    concatenated with every previous layer output (i*C channels in).
+    """Densely connected dilated 2-D stack; layer i reads i*C channels: the
+    block input and the outputs of layers 1 .. i-1.
+
+    The block keeps them in one buffer [B, depth*C, T, F], in the memory
+    order of its input (as concat would lay them out): the input is copied
+    into the first C channels, and layer i < depth writes its output
+    straight into channels i*C .. (i+1)*C. Layer i > 1 reads the view of
+    the first i*C channels (T.concat_view), whose gradient is concat's.
+    Layers write only past every view taken so far, so each view on the
+    tape keeps its values. The block so keeps depth*C channels of layer
+    inputs and outputs, where concatenated copies kept (2 + ... + depth)*C
+    besides the outputs of layers 1 .. depth-1. A depth-1 block makes no
+    buffer.
 
     variant DDB uses full dilated convolutions; DSDDB factors each into a
     depthwise dilated convolution followed by a pointwise one.
@@ -420,10 +433,20 @@ class DenseBlock(Module):
             self.layers.append(self.child(f"layer{i}", ConvStage(rng, specs)))
 
     def forward(self, x):
-        feats = [x]
-        for layer in self.layers:
-            feats.append(layer.forward(T.concat(feats) if len(feats) > 1 else x))
-        return feats[-1]
+        *inner, last = self.layers
+        if not inner:
+            return last.forward(x)
+        c = self.channels
+        # every layer output takes the widest dtype of its input and weights
+        dtype = np.result_type(x.dtype, *{p.dtype for p in self.named_params().values()})
+        buf = Tensor(np.empty_like(x.data, dtype, shape=(
+            x.shape[0], len(self.layers) * c) + x.shape[2:]))
+        buf.data[:, :c] = x.data
+        parts = [x]
+        for i, layer in enumerate(inner, start=1):
+            inp = T.concat_view(buf, parts) if i > 1 else x
+            parts.append(layer.forward(inp, out=buf.data[:, i * c:(i + 1) * c]))
+        return last.forward(T.concat_view(buf, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +657,7 @@ def enhance(noisy_wave, model, cfg):
             pending[..., seg - done:] = 0.0
             wsum[:seg - done] = wsum[done:]
             wsum[seg - done:] = 0.0
-    y = y[:, :full]
-    y /= _window_square_sum(win, hop, t_frames)
+    y = _normalise(y[:, :full], win, hop, t_frames)
     return Tensor(np.ascontiguousarray(y[:, pad: pad + n]))
 
 

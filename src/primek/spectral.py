@@ -208,13 +208,32 @@ def _overlap_add(frames, hop, length, out=None, first=0):
     return out[..., :length]
 
 
-def _window_square_sum(win, hop, t_frames):
-    """Overlap-added squared window of t_frames frames, floored at 1e-12:
-    the iSTFT's normaliser, [win_length + (t_frames - 1) * hop]."""
+def _normalise(y, win, hop, t_frames):
+    """Divide y [..., win_length + (t_frames - 1) * hop], an overlap-add of
+    t_frames windowed frames, in place by the iSTFT's normaliser: the
+    overlap-added squared window, floored at 1e-12. Returns y.
+
+    The normaliser is never built at y's length. Each sample sums its
+    frames' squared-window values in ascending frame order (_overlap_add),
+    so every sample that all ceil(win_length / hop) frames of its hop block
+    reach gets the same sum, bit for bit, as the one at its offset in the
+    block. Only the samples before the first such block and after the last
+    (about win_length - hop at each end) differ; an overlap-add of the
+    first min(t_frames, ceil(win_length / hop)) frames gives both edges and
+    the pattern."""
     wl = len(win)
-    wss = _overlap_add(np.broadcast_to(win * win, (t_frames, wl)), hop,
-                       wl + (t_frames - 1) * hop)
-    return np.maximum(wss, 1e-12, out=wss)
+    m = min(t_frames, -(-wl // hop))
+    wss = _overlap_add(np.broadcast_to(win * win, (m, wl)), hop, wl + (m - 1) * hop)
+    np.maximum(wss, 1e-12, out=wss)
+    if m == t_frames:
+        y /= wss
+        return y
+    edge = (m - 1) * hop  # samples at each end that fewer than m frames reach
+    mid = y[..., edge:t_frames * hop]
+    y[..., :edge] /= wss[:edge]
+    mid.reshape(mid.shape[:-1] + (-1, hop), copy=False)[...] /= wss[edge:edge + hop]
+    y[..., t_frames * hop:] /= wss[m * hop:]
+    return y
 
 
 def _synthesis_frames(rect, cfg, win):
@@ -291,16 +310,14 @@ def istft_rect(rect, cfg, target_len):
         )
 
     frames = _synthesis_frames(rect.data, cfg, win)
-    y = _overlap_add(frames, hop, full)
+    y = _normalise(_overlap_add(frames, hop, full), win, hop, t_frames)
     del frames
-    wss = _window_square_sum(win, hop, t_frames)
-    y /= wss
     out = np.ascontiguousarray(y[:, p: p + target_len])
 
     def grad(g):
         gy = np.zeros((b, full), win.dtype)
         gy[:, p: p + target_len] = g
-        gy /= wss
+        _normalise(gy, win, hop, t_frames)
         frame_grad = _frame(gy, cfg, t_frames) * win
         spec = np.fft.rfft(frame_grad, n=fft, axis=-1)
         scale = _rfft_bin_scale(fft, win.dtype) / fft

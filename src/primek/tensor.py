@@ -10,10 +10,11 @@ finite-difference checks headroom; float32 data runs in float32.
 
 Ops keep the memory order of their inputs: `transpose` and `crop` (so
 `chunk`) return views, `reshape` copies only where numpy must, `concat`
-allocates its output in the layout of its first part, and elementwise ops
-follow numpy's. So an activation stored channel-major ([C, B, L] in memory
-for a logical [B, C, L], as the GPFCA sequence blocks keep theirs) stays so,
-and a channel chunk of it is one contiguous block.
+allocates its output in the layout of its first part (`concat_view` is the
+same op on parts already written into one buffer, a view of it), and
+elementwise ops follow numpy's. So an activation stored channel-major
+([C, B, L] in memory for a logical [B, C, L], as the GPFCA sequence blocks
+keep theirs) stays so, and a channel chunk of it is one contiguous block.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ class ShapeError(ValueError):
 
 class Recorder:
     """Multiply-accumulates reported by conv ops and bytes of tensor storage
-    allocated while active; an op whose data is a view of a parent's storage
-    allocates none. Every active recorder receives every event."""
+    allocated while active; an op whose data lies in storage counted already
+    (a view of a parent's, or a slice of a buffer) allocates none. Every
+    active recorder receives every event."""
 
     def __init__(self):
         self.macs = 0
@@ -64,6 +66,11 @@ track_allocations = count_macs
 def record_macs(count):
     for rec in _recorders:
         rec.macs += int(count)
+
+
+def _record_bytes(count):
+    for rec in _recorders:
+        rec.bytes_allocated += count
 
 
 @contextmanager
@@ -94,8 +101,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward_fn = None
-        for rec in _recorders:
-            rec.bytes_allocated += arr.nbytes
+        _record_bytes(arr.nbytes)
 
     # -- basic introspection ------------------------------------------------
 
@@ -170,18 +176,19 @@ def _accumulate(tensor, grad_arr):
         tensor.grad += grad_arr
 
 
-def _op(data, *edges):
+def _op(data, *edges, counted=False):
     """Tape op computing `data` from the (parent, grad_fn) edges, where
     grad_fn maps the output gradient to that parent's.
 
     A backward is attached only when grad mode is on and some parent
     requires a gradient; it runs the grad_fn of each such parent, in edge
-    order, and accumulates the result into that parent.
+    order, and accumulates the result into that parent. `counted` marks
+    data written into storage that was counted when it was made (a slice of
+    a buffer tensor), which, like a view of a parent's, allocates nothing.
     """
     out = Tensor(data)
-    if any(np.may_share_memory(out.data, p.data) for p, _ in edges):
-        for rec in _recorders:  # Tensor() counted it, but a view allocates none
-            rec.bytes_allocated -= out.data.nbytes
+    if counted or any(np.may_share_memory(out.data, p.data) for p, _ in edges):
+        _record_bytes(-out.data.nbytes)  # Tensor() counted it
     if _grad_enabled and any(p.requires_grad for p, _ in edges):
         def backward(g):
             for p, grad_fn in edges:
@@ -342,24 +349,27 @@ def sigmoid(x):
     return _op(out_data, (x, lambda g: g * out_data * (1.0 - out_data)))
 
 
-def prelu(x, alpha):
-    """PReLU with a learnable slope per channel (axis 1)."""
+def prelu(x, alpha, out=None):
+    """PReLU with a learnable slope per channel (axis 1), written into `out`
+    when given: an array of x's shape in counted storage (a slice of a
+    buffer tensor), which the result's data then is."""
     if alpha.data.ndim != 1 or x.data.ndim < 2 or x.shape[1] != alpha.shape[0]:
         raise ShapeError(f"prelu: x {x.shape} vs alpha {alpha.shape}")
     view = _channel_view(alpha.data, x.data.ndim)
     # alpha * min(x, 0) + max(x, 0): branch-free, where np.where's choice per
     # element is slow on data of random sign
-    out = np.minimum(x.data, 0.0)
-    out *= view
-    out += np.maximum(x.data, 0.0)
+    y = np.minimum(x.data, 0.0, out=out)
+    y *= view
+    y += np.maximum(x.data, 0.0)
     # the gradients build their own arrays, so no_grad builds none. Both
     # take the memory order numpy gives an op of g and x, which np.where and
     # np.multiply keep; a masked copy into g * alpha would take g's order,
     # and `*` reuses the minimum's buffer, taking x's
     return _op(
-        out,
+        y,
         (x, lambda g: np.where(x.data > 0, g, g * view)),
         (alpha, lambda g: _channel_sum(np.multiply(g, np.minimum(x.data, 0.0)))),
+        counted=out is not None,
     )
 
 
@@ -438,6 +448,32 @@ def crop(x, axis, start, stop):
 
 def concat(parts, axis=1):
     parts = list(parts)
+    shape, edges = _joined(parts, axis)
+    datas = [p.data for p in parts]
+    out_data = np.concatenate(datas, axis=axis, out=np.empty_like(
+        datas[0], np.result_type(*datas), shape=shape))
+    return _op(out_data, *edges)
+
+
+def concat_view(buf, parts, axis=1):
+    """concat(parts, axis) without its copy: the view of buffer tensor buf
+    that holds the parts end to end along `axis` from index 0, where the
+    caller wrote them. Its gradients are concat's; it allocates nothing, as
+    buf was counted when it was made. Later writes into buf past the parts
+    leave the view, and so the tape, unchanged."""
+    parts = list(parts)
+    shape, edges = _joined(parts, axis)
+    sel = [slice(None)] * buf.data.ndim
+    sel[axis] = slice(0, shape[axis])
+    data = buf.data[tuple(sel)]
+    if data.shape != shape:
+        raise ShapeError(f"concat_view: parts of {shape} do not fit buffer {buf.shape}")
+    return _op(data, *edges, counted=True)
+
+
+def _joined(parts, axis):
+    """The shape of parts joined along `axis`, and concat's edges: each part
+    takes its own slice of the output gradient."""
     if not parts:
         raise ShapeError("concat of zero tensors")
     ref = parts[0].shape
@@ -451,19 +487,16 @@ def concat(parts, axis=1):
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
     shape = list(ref)
     shape[axis] = int(offsets[-1])
-    datas = [p.data for p in parts]
-    out_data = np.concatenate(datas, axis=axis, out=np.empty_like(
-        datas[0], np.result_type(*datas), shape=shape))
 
     def take(lo, hi):
-        sel = [slice(None)] * out_data.ndim
+        sel = [slice(None)] * len(shape)
         sel[axis] = slice(int(lo), int(hi))
         sel = tuple(sel)
         return lambda g: g[sel]
 
-    return _op(out_data, *(
+    return tuple(shape), [
         (p, take(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
-    ))
+    ]
 
 
 def chunk(x, n, axis=1):

@@ -627,6 +627,82 @@ def test_dsddb_matches_composed_convolutions():
     assert np.array_equal(got, h.data)
 
 
+def concat_reference(blk, x):
+    """A dense block's forward built from T.concat: layer i reads a fresh
+    copy of the block input and every earlier output."""
+    feats = [x]
+    for layer in blk.layers:
+        feats.append(layer.forward(T.concat(feats) if len(feats) > 1 else x))
+    return feats[-1]
+
+
+@pytest.mark.parametrize("variant", ["DDB", "DSDDB"])
+def test_dense_block_with_gradients_equals_concat_and_keeps_one_buffer(variant):
+    """Depth 3, B = 2, input stored channel-major: the first depth at which
+    a view on the tape (layer 2's input) sits beside a slice written after
+    it (layer 2's output). The output and every parameter and input gradient
+    are np.array_equal to the concat reference's. Both keep every layer's
+    own activations on the tape; the block keeps one buffer of depth*C
+    channels where the reference keeps its concatenations ((2 + 3)*C) and
+    the outputs of layers 1 and 2 apart from them (2*C): 4 slabs of the
+    input's size less. The recorder counts exactly that, and the tape's
+    traced bytes after the forward pass fall under the reference's less
+    3.75 slabs (so the reference itself fails the bound)."""
+    spec = DenseBlockSpec(depth=3, dilations=(1, 2, 4), variant=variant)
+    blk = DenseBlock(np.random.default_rng(27), 8, spec)
+    rng = np.random.default_rng(28)
+    data = stored_as(rng.standard_normal((2, 8, 32, 33)), "channel_major")
+    proj = Tensor(rng.standard_normal(data.shape))
+    slab = data.nbytes
+
+    def run(forward):
+        blk.zero_grad()
+        x = Tensor(data.copy(), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with T.track_allocations() as rec:
+                out = forward(x)
+            tape = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        T.sum_all(T.mul(out, proj)).backward()
+        grads = {name: p.grad for name, p in blk.named_params().items()}
+        return out.data, x.grad, grads, rec.bytes_allocated, tape
+
+    got, ref = run(blk.forward), run(lambda x: concat_reference(blk, x))
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    assert got[2].keys() == ref[2].keys()
+    for name, want in ref[2].items():
+        assert np.array_equal(got[2][name], want), name
+    assert got[3] == ref[3] - 4 * slab
+    assert got[4] < ref[4] - 3.75 * slab
+
+
+def test_default_dsddb_block_peaks_at_its_buffer_and_one_layer():
+    """A no_grad `default`-width DSDDB block (depth 4, C = 64) on
+    [1, 64, 81, 201], the encoder's geometry for a 0.5 s clip, in slabs of
+    the input's size: the buffer (4), the last layer's depthwise output (4,
+    as wide as its input) and pointwise output (1), and under one slab of
+    padded channel blocks and their products. Bound 2 * depth + 2 = 10;
+    measured 9.65. Concatenating copies peaked at 12.65, over it: the last
+    concatenation (4) and the three outputs it copies (3) in place of the
+    buffer."""
+    cfg = default_run_config().model
+    rng = np.random.default_rng(29)
+    blk = DenseBlock(rng, cfg.channels, cfg.dense)
+    x = Tensor(rng.standard_normal((1, cfg.channels, 81, 201)))
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            blk.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert cfg.dense.depth == 4 and cfg.dense.variant == "DSDDB"
+    assert peak <= (2 * cfg.dense.depth + 2) * x.data.nbytes
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("c", [8, 16])
 @pytest.mark.parametrize("k", [3, 5])

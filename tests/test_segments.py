@@ -241,12 +241,13 @@ def traced_peak(model, seconds):
 
 
 def test_enhance_peak_memory_grows_only_by_waveforms():
-    """No array but waveforms spans the file: the overlap-add buffer, its
-    normaliser and the output; each segment's STFT reads a view of the
-    input. From 8 s to 32 s the traced peak of a `tiny` enhance may grow by
-    at most 1.5 float64 waveforms of the length difference (measured: 1.2;
-    1.9 with a reflect-padded copy of the input, 13.0 with the whole file's
-    spectra, accumulator and iSTFT buffers)."""
+    """No array but waveforms spans the file: the overlap-add buffer,
+    divided in place by a normaliser a few windows long, and the output;
+    each segment's STFT reads a view of the input. From 8 s to 32 s the
+    traced peak of a `tiny` enhance may grow by at most 1.5 float64
+    waveforms of the length difference (measured: 1.21; 1.45 with a
+    whole-file normaliser, 1.9 with a reflect-padded copy of the input, 13.0
+    with the whole file's spectra, accumulator and iSTFT buffers)."""
     model = EnhancementModel(TINY.model, seed=0)
     wave = (32 - 8) * TINY_SP.sample_rate * 8
     assert traced_peak(model, 32) - traced_peak(model, 8) <= 1.5 * wave

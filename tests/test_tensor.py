@@ -128,6 +128,18 @@ def test_no_grad_context_detaches():
     assert y._backward_fn is None and y._parents == ()
 
 
+def filled_buffer(parts, channels):
+    """A buffer tensor [B, channels, ...] holding parts end to end from
+    channel 0, as a dense block fills its buffer."""
+    ref = parts[0].data
+    buf = Tensor(np.empty_like(ref, shape=(ref.shape[0], channels) + ref.shape[2:]))
+    lo = 0
+    for p in parts:
+        buf.data[:, lo:lo + p.shape[1]] = p.data
+        lo += p.shape[1]
+    return buf
+
+
 # Every multi-input op, with the shapes of its parents.
 MULTI_INPUT_OPS = {
     "add": (T.add, [(2, 3, 4), (2, 3, 1)]),
@@ -139,6 +151,8 @@ MULTI_INPUT_OPS = {
     "normalize": (lambda x, g, b: T.normalize(x, (2,), g, b),
                   [(2, 3, 4), (3,), (3,)]),
     "concat": (lambda *parts: T.concat(parts), [(2, 1, 4), (2, 3, 4), (2, 2, 4)]),
+    "concat_view": (lambda *parts: T.concat_view(filled_buffer(parts, 8), parts),
+                    [(2, 1, 4), (2, 3, 4), (2, 2, 4)]),
     "conv1d": (lambda x, w, b: conv1d(x, ConvSpec(3, 4, 3), w, b),
                [(2, 3, 8), (4, 3, 3), (4,)]),
     "conv2d": (lambda x, w, b: conv2d(x, ConvSpec(3, 3, (3, 3), groups=3), w, b),
@@ -430,6 +444,46 @@ def test_concat_gradient_routes_by_index():
 def test_concat_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         T.concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 4)))])
+
+
+def test_concat_view_is_concat_without_its_copy():
+    """concat_view's data is the view of the buffer that holds the parts,
+    equal to concat's, counted as no allocation; writes into the buffer past
+    the parts leave it unchanged, and its gradients are concat's."""
+    for layout in LAYOUTS:
+        parts = [Tensor(stored_as(RNG.standard_normal((2, c, 5)), layout),
+                        requires_grad=True) for c in (2, 3)]
+        with T.track_allocations() as rec:
+            buf = filled_buffer(parts, 9)
+            view = T.concat_view(buf, parts)
+        assert rec.bytes_allocated == buf.data.nbytes
+        assert np.shares_memory(view.data, buf.data)
+        joined = T.concat(parts)
+        buf.data[:, 5:] = 7.0
+        assert np.array_equal(view.data, joined.data)
+        assert is_channel_major(view.data) == (layout == "channel_major")
+        w = Tensor(RNG.standard_normal(view.shape))
+        T.sum_all(T.mul(view, w)).backward()
+        want = [p.grad for p in parts]
+        for p in parts:
+            p.grad = None
+        T.sum_all(T.mul(joined, w)).backward()
+        for p, g in zip(parts, want):
+            assert np.array_equal(p.grad, g)
+    with pytest.raises(ShapeError, match="do not fit"):
+        T.concat_view(Tensor(np.zeros((2, 4, 5))), parts)
+
+
+def test_prelu_writes_into_a_given_array_without_counting_it():
+    x = Tensor(RNG.standard_normal((2, 3, 4)))
+    alpha = Tensor(np.array([0.1, 0.2, 0.3]))
+    buf = np.zeros((2, 5, 4))
+    with T.track_allocations() as rec:
+        out = T.prelu(x, alpha, out=buf[:, 1:4])
+    assert rec.bytes_allocated == 0
+    assert np.shares_memory(out.data, buf)
+    assert np.array_equal(out.data, T.prelu(x, alpha).data)
+    assert np.array_equal(buf[:, 1:4], out.data)
 
 
 def test_transpose_reshape_crop_roundtrip_gradients():
