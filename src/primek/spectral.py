@@ -220,14 +220,12 @@ def _normalise(y, win, hop, t_frames):
     block. Only the samples before the first such block and after the last
     (about win_length - hop at each end) differ; an overlap-add of the
     first min(t_frames, ceil(win_length / hop)) frames gives both edges and
-    the pattern."""
+    the pattern. With no more frames than that, y is as long as that
+    overlap-add and its three pieces meet it sample for sample."""
     wl = len(win)
     m = min(t_frames, -(-wl // hop))
     wss = _overlap_add(np.broadcast_to(win * win, (m, wl)), hop, wl + (m - 1) * hop)
     np.maximum(wss, 1e-12, out=wss)
-    if m == t_frames:
-        y /= wss
-        return y
     edge = (m - 1) * hop  # samples at each end that fewer than m frames reach
     mid = y[..., edge:t_frames * hop]
     y[..., :edge] /= wss[:edge]

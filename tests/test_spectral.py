@@ -230,23 +230,29 @@ def test_istft_rect_gradient_is_exact_adjoint():
         assert abs(gflat[i] - fd) / (1 + max(abs(gflat[i]), abs(fd))) < 1e-7
 
 
-@pytest.mark.parametrize("length", ["odd", "one-frame-past-a-segment", "15s"])
+@pytest.mark.parametrize("length", ["one-frame", "one-window-of-frames", "odd",
+                                    "one-frame-past-a-segment", "15s"])
 @pytest.mark.parametrize("make_cfg", [default_run_config, tiny_run_config],
                          ids=["default", "tiny"])
 def test_normalise_divides_by_the_whole_window_square_sum_without_building_it(
         make_cfg, length):
     """_normalise (enhance, istft_rect and its gradient) gives, bit for bit,
     y divided by the overlap-added squared window of all its frames, floored
-    at 1e-12, in place. It builds no array of y's length: at 15 s it
-    allocates under 1/16 of y (measured 69-73 KB, mostly numpy's ufunc
-    buffer, of a 3.8 MB y), where the whole normaliser is one more y."""
+    at 1e-12, in place, down to one frame and to ceil(win_length / hop)
+    frames, where no sample is reached by every frame of its hop block. It
+    builds no array of y's length: at 15 s it allocates under 1/16 of y
+    (measured 69-73 KB, mostly numpy's ufunc buffer, of a 3.8 MB y), where
+    the whole normaliser is one more y."""
     sp = make_cfg().spectro
-    n = {"odd": 10_001, "one-frame-past-a-segment": sp.segment_samples + sp.hop,
-         "15s": 15 * sp.sample_rate}[length]
-    t_frames = sp.frame_count(n)
     win, hop, wl = sp.analysis_window(), sp.hop, sp.win_length
+    t_frames = {"one-frame": lambda: 1,
+                "one-window-of-frames": lambda: -(-wl // hop),
+                "odd": lambda: sp.frame_count(10_001),
+                "one-frame-past-a-segment": lambda: sp.frame_count(
+                    sp.segment_samples + sp.hop),
+                "15s": lambda: sp.frame_count(15 * sp.sample_rate)}[length]()
     full = wl + (t_frames - 1) * hop
-    y = np.random.default_rng(n).standard_normal((1, full))
+    y = np.random.default_rng(full).standard_normal((1, full))
     whole = _overlap_add(np.broadcast_to(win * win, (t_frames, wl)), hop, full)
     want = y / np.maximum(whole, 1e-12)
     tracemalloc.start()

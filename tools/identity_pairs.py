@@ -50,33 +50,35 @@ from bench_pairs import extract  # noqa: E402
 SEED = 1
 
 
-def random_weights(pk, model_cfg, seed):
-    """A model with every weight drawn from N(0, 1/fan_in) and every vector
-    parameter moved by N(0, 0.1^2), as perfbench's checkpoints: the
+def perfbench():
+    """perfbench's run module, whose clips and checkpoints the cases use."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    return importlib.import_module("run")
+
+
+def random_weights(pk, cfg, seed):
+    """A model loaded from perfbench's random checkpoint for `seed`: the
     zero-initialised heads and residual scales would hide most layers."""
-    model = pk.blocks.EnhancementModel(model_cfg, seed=seed)
-    rng = np.random.default_rng([seed, 1])
-    for _, p in sorted(model.named_params().items()):
-        if p.data.ndim >= 2:
-            p.data[...] = rng.normal(0.0, 1.0 / np.sqrt(np.prod(p.shape[1:])), p.shape)
-        else:
-            p.data[...] = p.data + rng.normal(0.0, 0.1, p.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.ckpt"
+        perfbench().write_random_checkpoint(vars(pk), cfg, seed, path)
+        model = pk.blocks.EnhancementModel(cfg.model, seed=seed)
+        pk.trainer.load_checkpoint(str(path), model)
     return model
 
 
 def perfbench_clip(cfg, seconds):
     """perfbench's noisy clip for SEED, quantised to 16 bits as it is read back."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    run = importlib.import_module("run")
+    run = perfbench()
     clip = run.make_clip(np.random.default_rng([SEED, 0]), cfg.spectro.sample_rate,
                          seconds)
-    pcm = np.clip(np.round(clip * 32768.0), -32768, 32767).astype("<i2")
-    return pcm.astype(np.float64)[None] / 32768.0
+    with tempfile.TemporaryDirectory() as tmp:
+        return run.write_pcm16(Path(tmp) / "clip.wav", clip, cfg.spectro.sample_rate)[None]
 
 
 def enhanced(pk, preset, wave):
     cfg = pk.config.load(preset)
-    model = random_weights(pk, cfg.model, SEED)
+    model = random_weights(pk, cfg, SEED)
     with pk.tensor.no_grad():
         return {"out": pk.blocks.enhance(pk.tensor.Tensor(wave), model, cfg.spectro).data}
 
@@ -88,7 +90,7 @@ def toy_batch(pk, cfg):
 
 def gradients(pk, preset, mode):
     cfg = pk.config.load(preset)
-    model = random_weights(pk, cfg.model, SEED)
+    model = random_weights(pk, cfg, SEED)
     clean, noisy = toy_batch(pk, cfg)
     total, comps = pk.trainer.step_losses(model, cfg.spectro, clean, noisy,
                                           cfg.weights, mode)
@@ -116,7 +118,7 @@ def odd_tiny(pk):
     wave = 0.3 * np.random.default_rng(SEED).standard_normal((2, 10_001))
     out = {}
     for dtype in (np.float64, np.float32):
-        model = random_weights(pk, cfg.model, SEED)
+        model = random_weights(pk, cfg, SEED)
         for p in model.named_params().values():
             p.data = p.data.astype(dtype)
         with pk.tensor.no_grad():
