@@ -27,10 +27,12 @@ by a few ulps. An input that fits one tile runs untiled, with no crop or
 concat.
 
 `enhance` always runs with gradients off. It streams a file through the
-model in segments of `spectro.segment_seconds` (as STFT frames, `seg`), so
-its peak memory does not grow with file length; only waveforms span the
-whole file (the overlap-add buffer, divided in place by the normaliser,
-and the output).
+model in segments of `spectro.segment_seconds` (as STFT frames, `seg`), and
+one batch row at a time, so its peak memory grows with neither file length
+nor batch size; only waveforms span the whole file and batch (the
+overlap-add buffer, divided in place by the normaliser, and the output).
+Each row's segments run the ops of that row enhanced on its own, so its
+output does not depend on the other rows of its batch.
 Neighbouring segments overlap by seg // 8 frames (one at least), and the
 last segment ends on the last frame, so it may overlap its neighbour by
 more. A segment's spectrum is the centred STFT of a crop (a view) of the
@@ -569,7 +571,9 @@ class EnhancementModel(Module):
         h = self.encoder.forward(x)
         for axis, blk in self.ts_blocks:
             # the block's sequences [rows, C, L] are stored channel-major, as
-            # [C, rows, L]: the reshape makes the one copy, the transposes are views
+            # [C, rows, L]; the transposes are views. For B > 1 the reshape
+            # makes the one copy. For B = 1 (every enhance) it is a view, and
+            # the block's first pointwise conv (inflate) writes channel-major.
             perm = (1, 0, 3, 2) if axis == "time" else (1, 0, 2, 3)  # self-inverse
             cm = T.transpose(h, perm)  # [C, B, F, T] for time, [C, B, T, F] for freq
             c, b, n, length = cm.shape
@@ -610,9 +614,11 @@ def enhance(noisy_wave, model, cfg):
 
     noisy_wave: Tensor [B, N]; returns Tensor [B, N], always computed with
     gradients off. The file is streamed one segment (segment_starts) at a
-    time: each segment's STFT, estimate, cross-fade with its neighbours
-    (which overlap it by 1/8 of a segment) and iSTFT of its finished frames
-    run in turn, so only waveforms span the file (module docstring).
+    time and one batch row at a time: each segment's STFT, estimate,
+    cross-fade with its neighbours (which overlap it by 1/8 of a segment)
+    and iSTFT of its finished frames run in turn, row after row, so only
+    waveforms span the file and the batch, and each row's output is that
+    row enhanced on its own (module docstring).
     """
     b, n = noisy_wave.shape
     hop, wl, pad = cfg.hop, cfg.win_length, cfg.pad
@@ -628,35 +634,37 @@ def enhance(noisy_wave, model, cfg):
     dtype = np.result_type(noisy_wave.dtype, np.float32)
     ramp = np.arange(1, ov + 1, dtype=dtype) / (ov + 1)
     win = cfg.analysis_window().astype(dtype)
-    # frames s .. s + seg - 1 of the segment at s: the weighted estimates
-    # summed so far and their weights
-    pending = np.zeros((b, 2, cfg.bins, seg), dtype)
-    wsum = np.zeros(seg, dtype)
     y = np.zeros((b, -(-full // hop) * hop), dtype)
     with T.no_grad():
-        for i, (s, end) in enumerate(zip(starts, starts[1:] + [t_frames])):
-            lo = max(0, s - back)
-            spec = stft(T.crop(noisy_wave, 1, lo * hop,
-                               min(n, (s + seg - 1) * hop + wl - pad)), cfg)
-            part = Spectrogram(T.crop(spec.magnitude, 2, s - lo, s - lo + seg),
-                               T.crop(spec.phase, 2, s - lo, s - lo + seg), cfg)
-            w = np.ones(seg, dtype)
-            if i > 0:
-                w[:ov] = ramp
-            if i < len(starts) - 1:
-                w[-ov:] = ramp[::-1]
-            pending += rect(decompress(estimate(model, compress(part)))).data * w
-            wsum += w
-            # no later segment reaches the frames before the next start
-            done = end - s
-            pending[..., :done] /= wsum[:done]
-            _overlap_add(_synthesis_frames(pending[..., :done], cfg, win), hop,
-                         full, out=y, first=s)
-            # the next segment's first frames move to the front
-            pending[..., :seg - done] = pending[..., done:]
-            pending[..., seg - done:] = 0.0
-            wsum[:seg - done] = wsum[done:]
-            wsum[seg - done:] = 0.0
+        for r in range(b):  # row r's crop views, estimates and overlap-add into y[r]
+            row = T.crop(noisy_wave, 0, r, r + 1)
+            # frames s .. s + seg - 1 of the segment at s: the weighted
+            # estimates summed so far and their weights
+            pending = np.zeros((1, 2, cfg.bins, seg), dtype)
+            wsum = np.zeros(seg, dtype)
+            for i, (s, end) in enumerate(zip(starts, starts[1:] + [t_frames])):
+                lo = max(0, s - back)
+                spec = stft(T.crop(row, 1, lo * hop,
+                                   min(n, (s + seg - 1) * hop + wl - pad)), cfg)
+                part = Spectrogram(T.crop(spec.magnitude, 2, s - lo, s - lo + seg),
+                                   T.crop(spec.phase, 2, s - lo, s - lo + seg), cfg)
+                w = np.ones(seg, dtype)
+                if i > 0:
+                    w[:ov] = ramp
+                if i < len(starts) - 1:
+                    w[-ov:] = ramp[::-1]
+                pending += rect(decompress(estimate(model, compress(part)))).data * w
+                wsum += w
+                # no later segment reaches the frames before the next start
+                done = end - s
+                pending[..., :done] /= wsum[:done]
+                _overlap_add(_synthesis_frames(pending[..., :done], cfg, win), hop,
+                             full, out=y[r:r + 1], first=s)
+                # the next segment's first frames move to the front
+                pending[..., :seg - done] = pending[..., done:]
+                pending[..., seg - done:] = 0.0
+                wsum[:seg - done] = wsum[done:]
+                wsum[seg - done:] = 0.0
     y = _normalise(y[:, :full], win, hop, t_frames)
     return Tensor(np.ascontiguousarray(y[:, pad: pad + n]))
 

@@ -343,7 +343,9 @@ def step_losses(model, spectro_cfg, clean, noisy, weights, mode):
 
 
 def evaluate(model, spectro_cfg, clean, noisy):
-    """Mean SI-SNR of the enhanced and the raw noisy signals vs clean."""
+    """Mean SI-SNR of the enhanced and the raw noisy signals vs clean.
+    `enhance` runs the clips one at a time, so the peak holds one clip's
+    model activations and each clip's score is what it would be alone."""
     est = enhance(Tensor(noisy), model, spectro_cfg)
     return si_snr(est, clean), si_snr(noisy, clean)
 

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_pairs.py"
 
@@ -44,6 +45,49 @@ def test_identity_pairs_names_a_one_ulp_difference_and_a_dtype_change(
     assert not rows["dtype"]["equal"]
     assert rows["dtype"]["change"]["dtype"] == "float32"
     assert "train_tiny: 1 of 3 arrays equal; differ: dtype, ulp" in capsys.readouterr().out
+
+
+def test_identity_pairs_allows_only_declared_differences_within_their_tolerance(
+        tmp_path, monkeypatch, capsys):
+    """`--expect NAME=TOL` allows a case's arrays, or one array, to differ
+    by a relative TOL. A planted difference inside its TOL passes; one above
+    it fails the run and is named, and so is one that no TOL declares. The
+    report keeps each difference's relative size and the TOL it met."""
+    tool = load_tool()
+    a = np.linspace(1.0, 2.0, 7)
+    near, far = a.copy(), a.copy()
+    near[3] += 1e-12
+    far[3] += 1e-6
+    sides = {"parent": {"x": a, "grad.w": a}, "change": {"x": near, "grad.w": far}}
+    monkeypatch.setattr(tool, "run_case", lambda side, tree, case, tmp: sides[side])
+    monkeypatch.setattr(tool, "extract", lambda rev, dest: "f" * 40)
+    out = tmp_path / "ident.json"
+    run = ["--parent", "HEAD", "--case", "train_tiny", "--out", str(out)]
+
+    assert tool.main(run + ["--expect", "train_tiny=1e-9"]) == 1
+    report = json.loads(out.read_text())
+    assert report["ok"] is False and report["expect"] == {"train_tiny": 1e-9}
+    rows = report["cases"]["train_tiny"]
+    assert rows["x"]["within_tol"] and rows["x"]["tol"] == 1e-9
+    assert rows["x"]["max_rel_diff"] == rows["x"]["max_abs_diff"] / 2.0
+    assert not rows["grad.w"]["within_tol"]
+    assert "not allowed: grad.w" in capsys.readouterr().out
+
+    # an array's own TOL overrides its case's
+    assert tool.main(run + ["--expect", "train_tiny=1e-9",
+                            "--expect", "train_tiny.grad.w=1e-6"]) == 0
+    assert json.loads(out.read_text())["ok"] is True
+
+    # a difference that no TOL declares fails, and is named
+    assert tool.main(run + ["--expect", "train_tiny.x=1e-9"]) == 1
+    assert "not allowed: grad.w" in capsys.readouterr().out
+    assert "tol" not in json.loads(out.read_text())["cases"]["train_tiny"]["grad.w"]
+
+
+def test_identity_pairs_rejects_an_expectation_of_no_case():
+    tool = load_tool()
+    with pytest.raises(SystemExit):
+        tool.main(["--parent", "HEAD", "--expect", "no_such_case=1e-9"])
 
 
 def test_identity_pairs_case_runs_the_same_twice(tmp_path):

@@ -183,17 +183,19 @@ PAD_OFF_THE_HOP = SpectroConfig(fft_size=144, win_length=128, hop=32,
 ], ids=["1s", "3s", "batch-2", "one-frame-past-a-boundary", "shortest-segment",
         "float32-3s", "pad-off-the-hop-1s", "pad-off-the-hop-past-a-boundary"])
 def test_streamed_enhance_equals_the_whole_file_blend(spectro, shape, dtype):
-    """Streaming runs the ops of the whole-file blend in the same order, so
-    the output is bit-identical, in the input's float width."""
+    """Streaming runs the ops of the whole-file blend of each row in the
+    same order, so the output is bit-identical to the rows' blends stacked,
+    in the input's float width."""
     model = random_weight_model(TINY.model, seed=2401)
     for p in model.named_params().values():
         p.data = p.data.astype(dtype)
-    wave = Tensor((0.3 * np.random.default_rng(9).standard_normal(shape)).astype(dtype))
+    wave = (0.3 * np.random.default_rng(9).standard_normal(shape)).astype(dtype)
     starts = segment_starts(spectro, spectro.frame_count(shape[1]))
     assert len(starts) > 1
     with T.no_grad():
-        got = enhance(wave, model, spectro).data
-        want = blended_enhance(wave, model, spectro).data
+        got = enhance(Tensor(wave), model, spectro).data
+        want = np.concatenate([blended_enhance(Tensor(row[None]), model, spectro).data
+                               for row in wave])
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got, want)
 
@@ -215,6 +217,23 @@ def test_last_segment_one_frame_past_a_boundary_overlaps_by_most_of_a_segment():
     assert starts[-2] + seg - starts[-1] == seg - 1 > seg // 8
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_each_row_is_enhanced_as_it_would_be_alone(dtype):
+    """Every row of a batch runs the ops of that row enhanced on its own, so
+    its output does not depend on the other rows (with every row in each
+    model call, these rows moved by up to 1.1e-15 in float64 and 3.6e-7 in
+    float32)."""
+    model = random_weight_model(TINY.model, seed=2901)
+    for p in model.named_params().values():
+        p.data = p.data.astype(dtype)
+    wave = (0.3 * np.random.default_rng(29).standard_normal((3, 10_001))).astype(dtype)
+    assert len(segment_starts(TINY_SP, TINY_SP.frame_count(wave.shape[1]))) > 1
+    with T.no_grad():
+        got = enhance(Tensor(wave), model, TINY_SP).data
+        for row, out in zip(wave, got, strict=True):
+            assert np.array_equal(out, enhance(Tensor(row[None]), model, TINY_SP).data[0])
+
+
 def test_float32_blend_stays_float32():
     model = EnhancementModel(replace(TINY.model, identity_mode=True), seed=0)
     x = np.random.default_rng(7).standard_normal((2, 8000)).astype(np.float32)
@@ -228,9 +247,9 @@ def test_float32_blend_stays_float32():
 # memory
 # ---------------------------------------------------------------------------
 
-def traced_peak(model, seconds):
+def traced_peak(model, seconds, rows=1):
     x = Tensor(0.3 * np.random.default_rng(8).standard_normal(
-        (1, int(seconds * TINY_SP.sample_rate))))
+        (rows, int(seconds * TINY_SP.sample_rate))))
     tracemalloc.start()
     try:
         with T.no_grad():
@@ -251,6 +270,17 @@ def test_enhance_peak_memory_grows_only_by_waveforms():
     model = EnhancementModel(TINY.model, seed=0)
     wave = (32 - 8) * TINY_SP.sample_rate * 8
     assert traced_peak(model, 32) - traced_peak(model, 8) <= 1.5 * wave
+
+
+def test_enhance_peak_memory_grows_only_by_output_rows():
+    """The model holds one row's activations whatever the batch size; only
+    the overlap-add buffer and the output hold every row. From B = 1 to
+    B = 8 the traced peak of a 1 s `tiny` enhance may grow by at most those
+    two arrays' added rows, 2 * 7 float64 waveforms (measured: 8.1; 180
+    with every row in each model call)."""
+    model = EnhancementModel(TINY.model, seed=0)
+    wave = TINY_SP.sample_rate * 8
+    assert traced_peak(model, 1, rows=8) - traced_peak(model, 1) <= 2 * 7 * wave
 
 
 # ---------------------------------------------------------------------------

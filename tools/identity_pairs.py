@@ -3,6 +3,7 @@
 
     python3 tools/identity_pairs.py --parent HEAD --out IDENT_<n>.json
     python3 tools/identity_pairs.py --parent HEAD --case enhance_tiny_odd
+    python3 tools/identity_pairs.py --parent HEAD --expect enhance_tiny_odd.float64=1e-15
 
 The change side is the working tree of this checkout, uncommitted edits
 included; the parent revision's committed files are extracted as
@@ -12,7 +13,13 @@ thread, and returns named float arrays. Two sides agree on an array when
 its dtype, shape and bytes are equal. The output file holds, per case and
 array, whether the sides agree with the SHA-256, dtype and shape they
 share, or each side's and, at equal shapes, the largest absolute
-difference. The exit status is 1 when any array differs.
+difference and the relative one, max |parent - change| / max |parent|.
+
+A difference is allowed only where `--expect NAME=TOL` declares it: NAME is
+a case (every array of it) or `case.array`, the array's own TOL overriding
+its case's, and TOL bounds the relative difference. The exit status is 1
+when any array differs without a declaration, beyond its TOL, or in dtype
+or shape.
 
 The comparison is bitwise on one machine and numpy build: OpenBLAS picks
 kernels by operand size and layout, so compare two trees run here, never
@@ -181,9 +188,36 @@ def compare(parent, change):
             continue
         row = rows[name] = {"equal": False, "parent": sides[0], "change": sides[1]}
         if p is not None and c is not None and p.shape == c.shape:
-            row["max_abs_diff"] = float(np.max(np.abs(p.astype(np.float64)
-                                                      - c.astype(np.float64)), initial=0))
+            p64 = p.astype(np.float64)
+            diff = float(np.max(np.abs(p64 - c.astype(np.float64)), initial=0))
+            scale = float(np.max(np.abs(p64), initial=0))
+            row["max_abs_diff"] = diff
+            row["max_rel_diff"] = diff / scale if scale else float("inf")
     return rows
+
+
+def expectation(text):
+    """`NAME=TOL` of --expect -> (NAME, TOL); NAME's case must exist."""
+    name, sep, tol = text.partition("=")
+    if not sep or name.split(".", 1)[0] not in CASES:
+        raise argparse.ArgumentTypeError(f"{text!r} is not CASE[.ARRAY]=TOL")
+    return name, float(tol)
+
+
+def allowed(case, rows, expect):
+    """Mark each differing array of `case` with its declared TOL, if any,
+    and whether it stays within; returns the names that do not."""
+    bad = []
+    for name, row in rows.items():
+        if row["equal"]:
+            continue
+        tol = expect.get(f"{case}.{name}", expect.get(case))
+        if tol is not None:
+            row["tol"] = tol
+            row["within_tol"] = row.get("max_rel_diff", float("inf")) <= tol
+        if not row.get("within_tol"):
+            bad.append(name)
+    return bad
 
 
 def main(argv=None):
@@ -191,6 +225,10 @@ def main(argv=None):
     p.add_argument("--parent", help="git revision to compare against")
     p.add_argument("--case", action="append", choices=sorted(CASES),
                    help="run only this case (repeatable); default: every case")
+    p.add_argument("--expect", action="append", type=expectation, default=[],
+                   metavar="NAME=TOL",
+                   help="allow case NAME, or array case.array, to differ by a "
+                        "relative TOL (repeatable)")
     p.add_argument("--out", help="JSON file to write (the .npz of a --worker run)")
     p.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -200,7 +238,8 @@ def main(argv=None):
     if args.parent is None:
         p.error("--parent is required")
     cases = args.case or list(CASES)
-    report = {}
+    expect = dict(args.expect)
+    report, ok = {}, True
     with tempfile.TemporaryDirectory(prefix="identity_pairs_") as tmp:
         parent_tree = Path(tmp) / "parent"
         commit = extract(args.parent, parent_tree)
@@ -209,13 +248,18 @@ def main(argv=None):
                            run_case("change", str(ROOT), case, tmp))
             report[case] = rows
             differ = [n for n, r in rows.items() if not r["equal"]]
+            unexpected = allowed(case, rows, expect)
+            ok = ok and not unexpected
             print(f"{case}: {len(rows) - len(differ)} of {len(rows)} arrays equal"
-                  + (f"; differ: {', '.join(differ)}" if differ else ""), flush=True)
+                  + (f"; differ: {', '.join(differ)}" if differ else "")
+                  + (f"; not allowed: {', '.join(unexpected)}" if unexpected else ""),
+                  flush=True)
     same = all(r["equal"] for rows in report.values() for r in rows.values())
     if args.out:
         Path(args.out).write_text(json.dumps(
-            {"parent": commit, "equal": same, "cases": report}, indent=1) + "\n")
-    return 0 if same else 1
+            {"parent": commit, "equal": same, "expect": expect, "ok": ok,
+             "cases": report}, indent=1) + "\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
